@@ -1,10 +1,10 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <vector>
 
 #include "util/check.hpp"
-#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fairdms::nn {
@@ -105,31 +105,27 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
   Tensor y({n, out_c_, oh, ow});
   const float* px = x.data();
   float* py = y.data();
-  const float* pw = weight_.data();
   const float* pb = bias_.data();
 
-  util::ThreadPool::global().parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<float> cols(col_rows * col_cols);
-        for (std::size_t i = begin; i < end; ++i) {
-          im2col(px + i * in_c_ * h * w, h, w, cols.data());
-          float* out = py + i * out_c_ * col_cols;
-          // out[oc, :] = W[oc, :] . cols + b[oc]
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            float* orow = out + oc * col_cols;
-            std::fill(orow, orow + col_cols, pb[oc]);
-            const float* wrow = pw + oc * col_rows;
-            for (std::size_t r = 0; r < col_rows; ++r) {
-              const float wv = wrow[r];
-              if (wv == 0.0f) continue;
-              const float* crow = cols.data() + r * col_cols;
-              for (std::size_t j = 0; j < col_cols; ++j) orow[j] += wv * crow[j];
-            }
-          }
-        }
-      },
-      /*min_grain=*/1);
+  auto samples = [&](std::size_t begin, std::size_t end) {
+    std::vector<float> cols(col_rows * col_cols);
+    for (std::size_t i = begin; i < end; ++i) {
+      im2col(px + i * in_c_ * h * w, h, w, cols.data());
+      // out[oc, :] = b[oc] + W[oc, :] . cols
+      float* out = py + i * out_c_ * col_cols;
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        std::fill_n(out + oc * col_cols, col_cols, pb[oc]);
+      }
+      tensor::gemm(out_c_, col_cols, col_rows, weight_.data(),
+                   /*trans_a=*/false, cols.data(), /*trans_b=*/false, out,
+                   /*accumulate=*/true);
+    }
+  };
+  if (tensor::may_fan_out(2 * n * out_c_ * col_rows * col_cols)) {
+    util::ThreadPool::global().parallel_for(n, samples, /*min_grain=*/1);
+  } else {
+    samples(0, n);
+  }
   return y;
 }
 
@@ -152,58 +148,53 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* px = x.data();
   const float* pg = grad_out.data();
   float* pgx = grad_x.data();
-  const float* pw = weight_.data();
 
-  // Per-chunk weight/bias gradient accumulators are merged under a mutex so
-  // results do not depend on thread interleaving order within a chunk.
-  // kTaskLocal: acquired inside pool chunks, possibly while a caller
-  // up-stack holds a subsystem lock (help-while-waiting runs chunks on the
-  // waiting thread), so it ranks above every subsystem mutex.
-  util::Mutex merge_mutex{util::LockRank::kTaskLocal};
-  util::ThreadPool::global().parallel_for_chunked(
-      n,
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-        std::vector<float> cols(col_rows * col_cols);
-        std::vector<float> gcols(col_rows * col_cols);
-        Tensor local_gw(grad_weight_.shape());
-        Tensor local_gb(grad_bias_.shape());
-        float* lgw = local_gw.data();
-        float* lgb = local_gb.data();
-        for (std::size_t i = begin; i < end; ++i) {
-          im2col(px + i * in_c_ * h * w, h, w, cols.data());
-          const float* gout = pg + i * out_c_ * col_cols;
-          // dW[oc, r] += sum_j gout[oc, j] * cols[r, j]
-          // db[oc]   += sum_j gout[oc, j]
-          // gcols[r, j] = sum_oc W[oc, r] * gout[oc, j]
-          std::fill(gcols.begin(), gcols.end(), 0.0f);
-          for (std::size_t oc = 0; oc < out_c_; ++oc) {
-            const float* grow = gout + oc * col_cols;
-            const float* wrow = pw + oc * col_rows;
-            float* gwrow = lgw + oc * col_rows;
-            double bsum = 0.0;
-            for (std::size_t j = 0; j < col_cols; ++j) {
-              bsum += static_cast<double>(grow[j]);
-            }
-            lgb[oc] += static_cast<float>(bsum);
-            for (std::size_t r = 0; r < col_rows; ++r) {
-              const float* crow = cols.data() + r * col_cols;
-              float* gcrow = gcols.data() + r * col_cols;
-              const float wv = wrow[r];
-              double wsum = 0.0;
-              for (std::size_t j = 0; j < col_cols; ++j) {
-                wsum += static_cast<double>(grow[j]) * crow[j];
-                gcrow[j] += wv * grow[j];
-              }
-              gwrow[r] += static_cast<float>(wsum);
-            }
-          }
-          col2im(gcols.data(), h, w, pgx + i * in_c_ * h * w);
+  // Weight/bias gradient partials, one per chunk of kSamplesPerChunk
+  // samples, summed below in chunk order: the chunking never depends on the
+  // pool, so the gradient bits do not either.
+  constexpr std::size_t kSamplesPerChunk = 4;
+  const std::size_t chunks = (n + kSamplesPerChunk - 1) / kSamplesPerChunk;
+  const std::size_t wsize = out_c_ * col_rows;
+  std::vector<float> partials(chunks * (wsize + out_c_), 0.0f);
+
+  auto run = [&](std::size_t chunk_begin, std::size_t chunk_end) {
+    std::vector<float> cols(col_rows * col_cols);
+    std::vector<float> gcols(col_rows * col_cols);
+    for (std::size_t ch = chunk_begin; ch < chunk_end; ++ch) {
+      float* gw = partials.data() + ch * (wsize + out_c_);
+      float* gb = gw + wsize;
+      const std::size_t end = std::min(n, (ch + 1) * kSamplesPerChunk);
+      for (std::size_t i = ch * kSamplesPerChunk; i < end; ++i) {
+        im2col(px + i * in_c_ * h * w, h, w, cols.data());
+        const float* gout = pg + i * out_c_ * col_cols;
+        // dW += gout . cols^T ; db += row-sum(gout) ; gcols = W^T . gout
+        tensor::gemm(out_c_, col_rows, col_cols, gout, /*trans_a=*/false,
+                     cols.data(), /*trans_b=*/true, gw, /*accumulate=*/true);
+        for (std::size_t oc = 0; oc < out_c_; ++oc) {
+          const float* grow = gout + oc * col_cols;
+          double bsum = 0.0;
+          for (std::size_t j = 0; j < col_cols; ++j) bsum += grow[j];
+          gb[oc] += static_cast<float>(bsum);
         }
-        util::MutexLock lock(merge_mutex);
-        grad_weight_.add_(local_gw);
-        grad_bias_.add_(local_gb);
-      },
-      /*min_grain=*/1);
+        tensor::gemm(col_rows, col_cols, out_c_, weight_.data(),
+                     /*trans_a=*/true, gout, /*trans_b=*/false, gcols.data(),
+                     /*accumulate=*/false);
+        col2im(gcols.data(), h, w, pgx + i * in_c_ * h * w);
+      }
+    }
+  };
+  if (tensor::may_fan_out(4 * n * out_c_ * col_rows * col_cols)) {
+    util::ThreadPool::global().parallel_for(chunks, run, /*min_grain=*/1);
+  } else {
+    run(0, chunks);
+  }
+  float* dw = grad_weight_.data();
+  float* db = grad_bias_.data();
+  for (std::size_t ch = 0; ch < chunks; ++ch) {
+    const float* gw = partials.data() + ch * (wsize + out_c_);
+    for (std::size_t r = 0; r < wsize; ++r) dw[r] += gw[r];
+    for (std::size_t oc = 0; oc < out_c_; ++oc) db[oc] += gw[wsize + oc];
+  }
   return grad_x;
 }
 

@@ -1,5 +1,6 @@
 #include "nn/linear.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -23,13 +24,15 @@ Tensor Linear::forward(const Tensor& x, Mode mode) {
   FAIRDMS_CHECK(x.rank() == 2 && x.dim(1) == in_, "Linear: expected [N, ",
                 in_, "], got ", x.shape_str());
   if (mode == Mode::kTrain) cached_input_ = x;
-  Tensor y = tensor::matmul(x, weight_, /*trans_a=*/false, /*trans_b=*/true);
-  const std::size_t n = y.dim(0);
+  const std::size_t n = x.dim(0);
+  Tensor y({n, out_});
   float* py = y.data();
-  const float* pb = bias_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) py[i * out_ + j] += pb[j];
+    std::copy_n(bias_.data(), out_, py + i * out_);
   }
+  // y = b + x W^T: the NT form reads W in place, row by row.
+  tensor::gemm(n, out_, in_, x.data(), /*trans_a=*/false, weight_.data(),
+               /*trans_b=*/true, py, /*accumulate=*/true);
   return y;
 }
 
@@ -38,15 +41,18 @@ Tensor Linear::backward(const Tensor& grad_out) {
   FAIRDMS_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
                 "Linear: bad grad shape ", grad_out.shape_str());
   // dW += dY^T X ; db += column-sum(dY) ; dX = dY W
-  grad_weight_.add_(
-      tensor::matmul(grad_out, cached_input_, /*trans_a=*/true));
   const std::size_t n = grad_out.dim(0);
   const float* pg = grad_out.data();
+  tensor::gemm(out_, in_, n, pg, /*trans_a=*/true, cached_input_.data(),
+               /*trans_b=*/false, grad_weight_.data(), /*accumulate=*/true);
   float* pb = grad_bias_.data();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < out_; ++j) pb[j] += pg[i * out_ + j];
   }
-  return tensor::matmul(grad_out, weight_);
+  Tensor grad_x({n, in_});
+  tensor::gemm(n, in_, out_, pg, /*trans_a=*/false, weight_.data(),
+               /*trans_b=*/false, grad_x.data(), /*accumulate=*/false);
+  return grad_x;
 }
 
 }  // namespace fairdms::nn

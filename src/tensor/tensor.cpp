@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairdms::tensor {
 
@@ -177,36 +176,8 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
                 b.shape_str());
 
   Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  const std::size_t lda = a.dim(1);
-  const std::size_t ldb = b.dim(1);
-
-  // Row-parallel kernel. The non-transposed inner loops stream contiguously
-  // over B rows (i-k-j order), which is the cache-friendly layout for
-  // row-major storage; transposed operands fall back to strided reads.
-  util::parallel_for(
-      m,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          float* crow = pc + i * n;
-          std::fill(crow, crow + n, 0.0f);
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float aval = trans_a ? pa[kk * lda + i] : pa[i * lda + kk];
-            if (aval == 0.0f) continue;
-            if (!trans_b) {
-              const float* brow = pb + kk * ldb;
-              for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
-            } else {
-              for (std::size_t j = 0; j < n; ++j) {
-                crow[j] += aval * pb[j * ldb + kk];
-              }
-            }
-          }
-        }
-      },
-      /*min_grain=*/8);
+  gemm(m, n, k, a.data(), trans_a, b.data(), trans_b, c.data(),
+       /*accumulate=*/false);
   return c;
 }
 

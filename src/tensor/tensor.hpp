@@ -2,9 +2,18 @@
 //
 // This is the numeric substrate for the NN stack (src/nn), the embedding
 // algorithms (src/embed) and k-means (src/cluster). It is deliberately small:
-// contiguous float storage, shape arithmetic, elementwise ops, and a blocked,
-// thread-parallel GEMM. Layers that need structure (conv, pooling) index into
-// the flat storage themselves.
+// contiguous float storage, shape arithmetic, elementwise ops, and one
+// register-blocked float GEMM (gemm.cpp) under matmul, nn::Linear and
+// nn::Conv2d. Layers that need structure (conv, pooling) index into the flat
+// storage themselves.
+//
+// The GEMM's fan-out rule (util/thread_pool.hpp): a product of at least
+// kGemmParallelFlops runs as row chunks on util::ThreadPool::global(),
+// unless the calling thread runs a task of a multi-worker pool (a service
+// worker, an outer parallel_for chunk); there, and for every smaller
+// product, it runs inline. Each element of C is one fixed-order sum over k,
+// so the result is bitwise the same inline or split, for any m, row, pool
+// size or accumulate mode.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +99,26 @@ class Tensor {
   std::vector<float> data_;
 };
 
+/// Products of at least this many floating-point operations (2·m·n·k) may
+/// fan out over the global pool; smaller ones run inline on the caller.
+inline constexpr std::size_t kGemmParallelFlops = std::size_t{1} << 21;
+
+/// The fan-out rule for float kernels: true when `flops` reach
+/// kGemmParallelFlops and the calling thread is not running a task of a
+/// multi-worker pool (util::ThreadPool::in_parallel_task).
+[[nodiscard]] bool may_fan_out(std::size_t flops);
+
+/// C[m, n] = op(A) · op(B), or C += op(A) · op(B) with `accumulate`, over
+/// dense row-major storage. op(A) is [m, k]: A is stored [m, k], or [k, m]
+/// with `trans_a`. op(B) is [k, n]: B is stored [k, n], or [n, k] with
+/// `trans_b`. Each element is one sum over k in an order fixed by the
+/// transpose flags alone, added to C only at the end.
+void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+          bool trans_a, const float* b, bool trans_b, float* c,
+          bool accumulate);
+
 /// C = op(A) * op(B) where op is optional transpose. Shapes (after op):
-/// A: [M, K], B: [K, N] -> C: [M, N]. Multi-threaded over rows of C.
+/// A: [M, K], B: [K, N] -> C: [M, N]. Runs on gemm.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 

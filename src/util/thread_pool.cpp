@@ -8,6 +8,23 @@
 
 namespace fairdms::util {
 
+namespace {
+
+/// The pool whose task this thread is running, if any (innermost).
+thread_local const ThreadPool* t_task_pool = nullptr;
+
+/// Runs one task of `pool` with the calling thread marked as inside it.
+void run_task(const ThreadPool* pool, const std::function<void()>& task) {
+  struct Mark {
+    const ThreadPool* outer = t_task_pool;
+    explicit Mark(const ThreadPool* p) { t_task_pool = p; }
+    ~Mark() { t_task_pool = outer; }
+  } mark(pool);
+  task();
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads, std::size_t max_queue)
     : max_queue_(max_queue) {
   if (threads == 0) {
@@ -71,7 +88,7 @@ bool ThreadPool::try_run_one() {
     task = std::move(tasks_.front());
     tasks_.pop();
   }
-  task();
+  run_task(this, task);
   {
     MutexLock lock(mutex_);
     --in_flight_;
@@ -90,7 +107,7 @@ void ThreadPool::worker_loop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
+    run_task(this, task);
     {
       MutexLock lock(mutex_);
       --in_flight_;
@@ -146,6 +163,10 @@ void ThreadPool::parallel_for_chunked(
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
+}
+
+bool ThreadPool::in_parallel_task() noexcept {
+  return t_task_pool != nullptr && t_task_pool->size() > 1;
 }
 
 }  // namespace fairdms::util

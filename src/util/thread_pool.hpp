@@ -5,6 +5,17 @@
 // into parallel_for over index ranges (the OpenMP "parallel for" idiom,
 // expressed with std::thread so thread count and chunking stay under library
 // control and results stay deterministic).
+//
+// When a kernel may fan out. A float kernel (tensor::gemm, nn::Conv2d)
+// calls parallel_for only when its work is at least
+// tensor::kGemmParallelFlops floating-point operations and the calling
+// thread is not running a task of a multi-worker pool (in_parallel_task()):
+// a service worker, a Flow task, or a chunk of an outer parallel_for.
+// Below the threshold the hop onto the pool costs more than it saves; inside
+// such a task, sibling tasks already hold the cores and a nested fan-out
+// only queues behind them. A task of a one-worker pool (a stream's retrain
+// executor) runs alone, so its kernels fan out onto the idle cores.
+// EXPERIMENTS.md ("Kernel fan-out rule") measures the alternatives.
 #pragma once
 
 #include <condition_variable>
@@ -106,6 +117,11 @@ class ThreadPool {
 
   /// Process-wide pool (lazily constructed, sized to hardware concurrency).
   static ThreadPool& global();
+
+  /// True while the calling thread runs a task of a ThreadPool with more
+  /// than one worker (as a worker, or as a parallel_for caller helping
+  /// while it waits), where sibling tasks may hold the other cores.
+  [[nodiscard]] static bool in_parallel_task() noexcept;
 
  private:
   void worker_loop() EXCLUDES(mutex_);

@@ -3,7 +3,9 @@
 // and MC-dropout properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,6 +107,78 @@ TEST(GradCheck, Conv2dStridedPadded) {
   nn::Conv2d layer(1, 2, 3, rng, /*stride=*/2, /*padding=*/1);
   const Tensor x = Tensor::randn({2, 1, 7, 7}, rng);
   check_gradients(layer, x);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Conv2d's weight/bias gradients sum per-chunk partials in a fixed order,
+// so repeated backward passes give the same bits however the pool schedules
+// the chunks, and they agree with a direct (loop-nest) convolution.
+TEST(Conv2d, BackwardIsReproducibleAndMatchesDirectConvolution) {
+  constexpr std::size_t kN = 32, kC = 8, kOc = 16, kK = 3, kH = 13;
+  constexpr std::size_t kOh = kH - kK + 1;
+  util::Rng rng(31);
+  nn::Conv2d layer(kC, kOc, kK, rng);
+  const Tensor x = Tensor::randn({kN, kC, kH, kH}, rng);
+  const Tensor g = Tensor::randn({kN, kOc, kOh, kOh}, rng);
+
+  layer.zero_grad();
+  const Tensor y = layer.forward(x, Mode::kTrain);
+  const Tensor gx = layer.backward(g);
+  const Tensor gw = *layer.grads()[0];
+  const Tensor gb = *layer.grads()[1];
+  for (int rep = 0; rep < 50; ++rep) {
+    layer.zero_grad();
+    ASSERT_TRUE(same_bits(layer.forward(x, Mode::kTrain), y)) << rep;
+    ASSERT_TRUE(same_bits(layer.backward(g), gx)) << rep;
+    ASSERT_TRUE(same_bits(*layer.grads()[0], gw)) << rep;
+    ASSERT_TRUE(same_bits(*layer.grads()[1], gb)) << rep;
+  }
+
+  // Direct convolution and its gradients, accumulated in double.
+  const Tensor& w = *layer.params()[0];  // [OC, C*K*K]
+  const Tensor& b = *layer.params()[1];
+  std::vector<double> ref_y(y.numel()), ref_gx(x.numel()), ref_gw(gw.numel()),
+      ref_gb(gb.numel());
+  for (std::size_t n = 0; n < kN; ++n) {
+    for (std::size_t o = 0; o < kOc; ++o) {
+      for (std::size_t oy = 0; oy < kOh; ++oy) {
+        for (std::size_t ox = 0; ox < kOh; ++ox) {
+          const std::size_t yi = ((n * kOc + o) * kOh + oy) * kOh + ox;
+          const double go = g[yi];
+          double acc = b[o];
+          ref_gb[o] += go;
+          for (std::size_t c = 0; c < kC; ++c) {
+            for (std::size_t ky = 0; ky < kK; ++ky) {
+              for (std::size_t kx = 0; kx < kK; ++kx) {
+                const std::size_t wi = (o * kC + c) * kK * kK + ky * kK + kx;
+                const std::size_t xi =
+                    ((n * kC + c) * kH + oy + ky) * kH + ox + kx;
+                acc += static_cast<double>(w[wi]) * x[xi];
+                ref_gw[wi] += go * x[xi];
+                ref_gx[xi] += go * w[wi];
+              }
+            }
+          }
+          ref_y[yi] = acc;
+        }
+      }
+    }
+  }
+  auto expect_close = [](const Tensor& got, const std::vector<double>& want,
+                         const char* what) {
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+      ASSERT_NEAR(got[i], want[i], 1e-4 * std::max(1.0, std::fabs(want[i])))
+          << what << " at " << i;
+    }
+  };
+  expect_close(y, ref_y, "output");
+  expect_close(gx, ref_gx, "input grad");
+  expect_close(gw, ref_gw, "weight grad");
+  expect_close(gb, ref_gb, "bias grad");
 }
 
 TEST(GradCheck, Activations) {

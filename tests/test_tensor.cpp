@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fairdms {
 namespace {
@@ -21,13 +23,13 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b, bool ta, bool tb) {
   Tensor c({m, n});
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      float sum = 0.0f;
+      double sum = 0.0;
       for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = ta ? a.at(kk, i) : a.at(i, kk);
-        const float bv = tb ? b.at(j, kk) : b.at(kk, j);
+        const double av = ta ? a.at(kk, i) : a.at(i, kk);
+        const double bv = tb ? b.at(j, kk) : b.at(kk, j);
         sum += av * bv;
       }
-      c.at(i, j) = sum;
+      c.at(i, j) = static_cast<float>(sum);
     }
   }
   return c;
@@ -92,8 +94,8 @@ TEST(Tensor, DotDistanceCosine) {
   EXPECT_DOUBLE_EQ(tensor::cosine_similarity(a, zero), 0.0);
 }
 
-// Property: threaded GEMM == naive GEMM for every transpose combination
-// over a grid of shapes.
+// Property: the GEMM == naive GEMM for every transpose combination over a
+// grid of shapes.
 class MatmulProperty
     : public ::testing::TestWithParam<std::tuple<int, int, int, bool, bool>> {
 };
@@ -125,6 +127,86 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 5, 32),
                        ::testing::Values(1, 7, 48),
                        ::testing::Bool(), ::testing::Bool()));
+
+// Sizes on both sides of every tile edge: 4-row/8-column NN tiles, 2-row/
+// 4-column NT tiles, the 4-wide k lanes, and the sizes the layers run.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, MatmulProperty,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 8, 17, 33),
+                       ::testing::Values(1, 3, 4, 7, 225, 1936),
+                       ::testing::Values(1, 5, 8, 9, 64, 128),
+                       ::testing::Bool(), ::testing::Bool()));
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// Row i of op(A)·op(B) has the same bits as the product of row i alone, in
+// plain and in accumulate mode: an embedding does not depend on the batch
+// it was computed in.
+TEST(Matmul, RowsAreBitwiseInvariant) {
+  const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> shapes =
+      {{33, 225, 9}, {17, 1936, 64}, {8, 7, 128}};
+  util::Rng rng(77);
+  for (const auto& [m, k, n] : shapes) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n
+                                          << " ta=" << ta << " tb=" << tb);
+        const Tensor a = ta ? Tensor::randn({k, m}, rng)
+                            : Tensor::randn({m, k}, rng);
+        const Tensor b = tb ? Tensor::randn({n, k}, rng)
+                            : Tensor::randn({k, n}, rng);
+        const Tensor c0 = Tensor::randn({m, n}, rng);
+        const Tensor c = tensor::matmul(a, b, ta, tb);
+        Tensor acc = c0;
+        tensor::gemm(m, n, k, a.data(), ta, b.data(), tb, acc.data(),
+                     /*accumulate=*/true);
+        for (std::size_t i = 0; i < m; ++i) {
+          Tensor row = ta ? Tensor({k, 1}) : Tensor({1, k});
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            row[kk] = ta ? a.at(kk, i) : a.at(i, kk);
+          }
+          const Tensor ci = tensor::matmul(row, b, ta, tb);
+          ASSERT_TRUE(same_bits(ci.data(), c.data() + i * n, n)) << "row " << i;
+          std::vector<float> acc_row(c0.data() + i * n, c0.data() + (i + 1) * n);
+          tensor::gemm(1, n, k, row.data(), ta, b.data(), tb, acc_row.data(),
+                       /*accumulate=*/true);
+          ASSERT_TRUE(same_bits(acc_row.data(), acc.data() + i * n, n))
+              << "accumulated row " << i;
+        }
+      }
+    }
+  }
+}
+
+// A product above the fan-out threshold runs as row chunks on the global
+// pool from a plain thread and inline inside a task of a multi-worker pool;
+// both give the same bits.
+TEST(Matmul, PoolAndInlineGiveSameBits) {
+  constexpr std::size_t kM = 64, kK = 225, kN = 128;
+  static_assert(2 * kM * kN * kK >= tensor::kGemmParallelFlops);
+  util::Rng rng(78);
+  util::ThreadPool pool(2);
+  ASSERT_FALSE(util::ThreadPool::in_parallel_task());
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const Tensor a = ta ? Tensor::randn({kK, kM}, rng)
+                          : Tensor::randn({kM, kK}, rng);
+      const Tensor b = tb ? Tensor::randn({kN, kK}, rng)
+                          : Tensor::randn({kK, kN}, rng);
+      const Tensor fanned = tensor::matmul(a, b, ta, tb);
+      const Tensor inline_product =
+          pool.async([&] {
+                EXPECT_TRUE(util::ThreadPool::in_parallel_task());
+                return tensor::matmul(a, b, ta, tb);
+              })
+              .get();
+      EXPECT_TRUE(same_bits(fanned.data(), inline_product.data(), kM * kN))
+          << "ta=" << ta << " tb=" << tb;
+    }
+  }
+}
 
 TEST(Matmul, IdentityIsNoop) {
   util::Rng rng(9);
