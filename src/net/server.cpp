@@ -30,8 +30,9 @@ constexpr int kPollMillis = 100;
 
 /// One accepted socket. The read side (in / want_close) belongs to the
 /// event-loop thread exclusively; the write buffer is shared with the
-/// completion threads under `mutex` — completers only ever append, the
-/// event loop only ever flushes, and nobody touches the fd but the loop.
+/// completion callbacks (on service workers) under `mutex` — callbacks
+/// only ever append, the event loop only ever flushes, and nobody touches
+/// the fd but the loop.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
 
@@ -82,11 +83,7 @@ struct Server::Connection {
 };
 
 Server::Server(service::DataService& service, ServerConfig config)
-    : service_(&service),
-      config_(std::move(config)),
-      completers_(config_.completion_threads != 0
-                      ? config_.completion_threads
-                      : std::max<std::size_t>(2, service.worker_count())) {
+    : service_(&service), config_(std::move(config)) {
   const int lfd = create_listener(config_.bind_address, config_.port);
   if (lfd < 0) {
     util::log_warn("net::Server: cannot listen on ", config_.bind_address,
@@ -158,33 +155,30 @@ bool Server::valid_batch_shape(const tensor::Tensor& xs,
 }
 
 template <typename Response>
-void Server::finish(const std::shared_ptr<Connection>& conn, Op op,
-                    std::uint64_t correlation_id, std::uint16_t version,
-                    std::future<Response> future,
-                    Bytes (*encoder)(const Response&)) {
-  // Shed futures are ready at dispatch: answer them from the event loop so
-  // the wire-level shed path is as O(1) as the in-process one and never
-  // waits behind a completion thread.
-  if (future.wait_for(std::chrono::seconds(0)) ==
-      std::future_status::ready) {
-    const Response response = future.get();
+service::DataService::Done<Response> Server::finish(
+    const std::shared_ptr<Connection>& conn, Op op,
+    std::uint64_t correlation_id, std::uint16_t version,
+    Bytes (*encoder)(const Response&)) {
+  outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  // Runs on a service worker, or inline on the event loop for a shed.
+  return [this, conn, op, correlation_id, version, encoder](
+             Response response, std::exception_ptr error) {
+    if (error != nullptr) {
+      // Only the server's own fallback_labeler can throw: answer, and keep
+      // serving.
+      util::log_warn("net::Server: fallback_labeler threw");
+      response.status = service::ServeStatus::kMalformedRequest;
+    }
     if (response.status == service::ServeStatus::kShedOverload) {
       shed_responses_.fetch_add(1, std::memory_order_relaxed);
     }
     reply(conn, op, response.status, correlation_id, encoder(response),
           version);
-    return;
-  }
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  auto shared = std::make_shared<std::future<Response>>(std::move(future));
-  completers_.submit(
-      [this, conn, op, correlation_id, version, shared, encoder] {
-        const Response response = shared->get();
-        reply(conn, op, response.status, correlation_id, encoder(response),
-              version);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        wake();
-      });
+    wake();
+    // Last touch of Server state: once outstanding_ can read zero, stop()
+    // may return and the Server be destroyed under this callback.
+    outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+  };
 }
 
 bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -273,8 +267,9 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
         return true;
       }
       request.fallback_labeler = config_.fallback_labeler;
-      finish(conn, Op::kLabel, cid, ver,
-             service_->submit(std::move(request)), &encode_label_response);
+      service_->submit(std::move(request),
+                       finish(conn, Op::kLabel, cid, ver,
+                              &encode_label_response));
       return true;
     }
     case Op::kLookup: {
@@ -295,8 +290,9 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
         shutting_down();
         return true;
       }
-      finish(conn, Op::kLookup, cid, ver,
-             service_->submit(std::move(request)), &encode_lookup_response);
+      service_->submit(std::move(request),
+                       finish(conn, Op::kLookup, cid, ver,
+                              &encode_lookup_response));
       return true;
     }
     case Op::kRecommend: {
@@ -318,9 +314,9 @@ bool Server::handle_frame(const std::shared_ptr<Connection>& conn,
         shutting_down();
         return true;
       }
-      finish(conn, Op::kRecommend, cid, ver,
-             service_->submit(std::move(request)),
-             &encode_recommend_response);
+      service_->submit(std::move(request),
+                       finish(conn, Op::kRecommend, cid, ver,
+                              &encode_recommend_response));
       return true;
     }
   }
@@ -464,7 +460,7 @@ void Server::loop() {
       }
     }
 
-    // Flush everything writable; completers may have appended since poll.
+    // Flush everything writable; callbacks may have appended since poll.
     for (auto& conn : connections_) {
       if (conn->closed.load(std::memory_order_acquire)) continue;
       const auto result = conn->flush();
@@ -476,7 +472,7 @@ void Server::loop() {
       }
     }
 
-    // Reap: completers may still hold a shared_ptr; dropping ours here
+    // Reap: callbacks may still hold a shared_ptr; dropping ours here
     // only ends the loop's interest. The fd dies with the last reference,
     // and enqueue() on a closed connection is a silent no-op.
     std::erase_if(connections_, [](const std::shared_ptr<Connection>& c) {

@@ -1,19 +1,20 @@
 // net::Server — the binary-framed TCP serving front-end over DataService.
 //
-// Threading model (three tiers, none of which block each other):
+// Threading model (two tiers, neither of which blocks the other):
 //  * One event-loop thread owns the listening socket and every connection:
 //    poll()-driven accept, non-blocking reads, frame reassembly, dispatch,
 //    and non-blocking response writes. Cheap endpoints (hello, stats,
-//    request_retrain) are answered inline; shed requests — whose futures
-//    are ready at dispatch — are answered inline too, so the wire-level
-//    shed path stays O(1) exactly like the in-process one.
-//  * label / lookup / recommend requests dispatch onto the existing
-//    future-based DataService::submit() plane. A small completion pool
-//    waits on the not-immediately-ready futures, encodes the responses,
-//    and appends them to the connection's write buffer — so responses
-//    return in *completion* order, not request order, matched to their
-//    request by the correlation id the client chose.
-//  * The DataService's own worker pool executes the requests, untouched.
+//    request_retrain) are answered inline; shed requests — whose
+//    completion callbacks run before DataService::submit() returns — are
+//    answered inline too, so the wire-level shed path stays O(1) exactly
+//    like the in-process one.
+//  * label / lookup / recommend requests dispatch onto the callback form
+//    of DataService::submit(), whose worker pool executes them. The
+//    completion callback runs on that worker: it encodes the response,
+//    appends it to the connection's write buffer and wakes the event loop
+//    — so responses return in *completion* order, not request order,
+//    matched to their request by the correlation id the client chose. The
+//    Server adds no thread beyond its event loop.
 //
 // Protocol discipline (see net/wire.hpp for the frame format):
 //  * Admission sheds map to ServeStatus::kShedOverload in the response
@@ -53,7 +54,6 @@
 #include "net/wire.hpp"
 #include "service/data_service.hpp"
 #include "tensor/tensor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fairdms::net {
 
@@ -63,13 +63,9 @@ struct ServerConfig {
   /// Per-frame payload cap; a peer declaring more is disconnected before
   /// the server buffers a single payload byte.
   std::uint32_t max_payload = kDefaultMaxPayload;
-  /// Threads waiting on in-flight service futures; 0 => the service's
-  /// worker count (enough that every concurrently-executing request has a
-  /// waiter, so completion order tracks the service, not the front-end).
-  std::size_t completion_threads = 0;
   /// Server-side policy for the label endpoint's fallback labeler (code
   /// cannot travel on the wire). Label requests against a server without
-  /// one are answered kMalformedRequest.
+  /// one — or whose batch it throws on — are answered kMalformedRequest.
   std::function<tensor::Tensor(const tensor::Tensor&)> fallback_labeler;
   /// Seconds stop() keeps flushing buffered responses to peers that have
   /// stopped reading before force-closing them.
@@ -136,11 +132,13 @@ class Server {
   void reply(const std::shared_ptr<Connection>& conn, Op op,
              service::ServeStatus status, std::uint64_t correlation_id,
              const Bytes& payload, std::uint16_t version);
+  /// The completion callback of one dispatched request: replies on `conn`
+  /// and wakes the loop. Counts the request in outstanding_ until it runs.
   template <typename Response>
-  void finish(const std::shared_ptr<Connection>& conn, Op op,
-              std::uint64_t correlation_id, std::uint16_t version,
-              std::future<Response> future,
-              Bytes (*encoder)(const Response&));
+  service::DataService::Done<Response> finish(
+      const std::shared_ptr<Connection>& conn, Op op,
+      std::uint64_t correlation_id, std::uint16_t version,
+      Bytes (*encoder)(const Response&));
   void wake();
 
   service::DataService* service_;
@@ -152,8 +150,9 @@ class Server {
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_requested_{false};
-  /// Requests handed to the completion pool and not yet answered; the
-  /// event loop exits only at zero (with all buffers flushed).
+  /// Requests dispatched to the service whose completion callback has not
+  /// finished; the event loop exits only at zero (with all buffers
+  /// flushed).
   std::atomic<std::size_t> outstanding_{0};
 
   std::atomic<std::uint64_t> accepted_connections_{0};
@@ -167,7 +166,6 @@ class Server {
   /// Owned by the event-loop thread exclusively.
   std::vector<std::shared_ptr<Connection>> connections_;
 
-  util::ThreadPool completers_;
   std::thread loop_thread_;
   std::atomic<bool> stopped_{false};
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -18,25 +19,58 @@ std::size_t worker_count_for(std::size_t configured) {
       2, static_cast<std::size_t>(std::thread::hardware_concurrency()));
 }
 
-/// Already-satisfied future carrying a rejection response: default payload,
-/// the given status (kShedOverload / kUnknownStream). The rejection path
-/// allocates no request copy and touches no snapshot — O(1) on the
-/// submitter's thread.
-template <typename Response>
-std::future<Response> rejected_future(ServeStatus status) {
-  std::promise<Response> promise;
-  Response response;
-  response.status = status;
-  promise.set_value(std::move(response));
-  return promise.get_future();
-}
-
 /// Lock-free monotonic max for the queue-depth high-water marks.
 void cas_max(std::atomic<std::uint64_t>& mark, std::uint64_t value) {
   std::uint64_t seen = mark.load(std::memory_order_relaxed);
   while (seen < value &&
          !mark.compare_exchange_weak(seen, value, std::memory_order_acq_rel)) {
   }
+}
+
+/// An op's ledger fields in StreamStats.
+struct Ledger {
+  std::uint64_t StreamStats::*requests;
+  std::uint64_t StreamStats::*answered;
+  std::uint64_t StreamStats::*shed;
+};
+
+template <typename Request>
+constexpr Ledger ledger_of() {
+  if constexpr (std::is_same_v<Request, LabelRequest>) {
+    return {&StreamStats::label_requests, &StreamStats::label_answered,
+            &StreamStats::label_shed};
+  } else if constexpr (std::is_same_v<Request, LookupRequest>) {
+    return {&StreamStats::lookup_requests, &StreamStats::lookup_answered,
+            &StreamStats::lookup_shed};
+  } else {
+    return {&StreamStats::recommend_requests,
+            &StreamStats::recommend_answered, &StreamStats::recommend_shed};
+  }
+}
+
+/// Answers a request that never reached a worker: default payload, the
+/// given status (kShedOverload / kUnknownStream), on the submitter's thread.
+template <typename Response>
+void reject(const DataService::Done<Response>& done, ServeStatus status) {
+  Response response;
+  response.status = status;
+  done(std::move(response), nullptr);
+}
+
+/// The future form of a request: the callback form with a promise as `done`.
+template <typename Response, typename Request>
+std::future<Response> submit_as_future(DataService& service, Request request) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  service.submit(std::move(request),
+                 [promise](Response response, std::exception_ptr error) {
+                   if (error != nullptr) {
+                     promise->set_exception(std::move(error));
+                   } else {
+                     promise->set_value(std::move(response));
+                   }
+                 });
+  return future;
 }
 
 StreamConfig default_stream_config(const DataServiceConfig& config) {
@@ -105,156 +139,114 @@ bool DataService::reserve_pending(Stream& stream) {
   }
 }
 
-void DataService::note_admitted(Stream& stream) {
-  (void)stream;  // the per-stream mark was folded in by reserve_pending
+template <typename Request, typename Response>
+void DataService::serve(Request request, Done<Response> done) {
+  constexpr Ledger ledger = ledger_of<Request>();
+  constexpr bool is_label = std::is_same_v<Request, LabelRequest>;
+  auto stream = registry_.find(request.stream);
+  if (stream == nullptr) {
+    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
+    return reject(done, ServeStatus::kUnknownStream);
+  }
+  if constexpr (std::is_same_v<Request, RecommendRequest>) {
+    FAIRDMS_CHECK(stream->manager != nullptr, "RecommendRequest on stream '",
+                  stream->name, "' without a ModelManager");
+  }
+  const bool reserved = reserve_pending(*stream);
+  {
+    util::MutexLock lock(stream->stats_mutex);
+    ++(stream->counters.*ledger.requests);
+    if (!reserved) ++(stream->counters.*ledger.shed);
+  }
+  if (!reserved) return reject(done, ServeStatus::kShedOverload);
+
+  // Shared so a task the pool rejects leaves `done` to answer the shed.
+  struct Job {
+    Request request;
+    Done<Response> done;
+  };
+  auto job = std::make_shared<Job>(Job{std::move(request), std::move(done)});
+  const bool admitted = workers_.try_submit([this, stream, job] {
+    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
+    util::WallTimer timer;
+    const auto snap = stream->ds->snapshot();
+    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
+                  "' not trained");
+    const Request& req = job->request;
+    Response response;
+    try {
+      if constexpr (is_label) {
+        response.batch = snap->lookup_or_label(
+            req.xs, req.threshold, req.fallback_labeler, &response.reuse);
+      } else if constexpr (std::is_same_v<Request, LookupRequest>) {
+        response.batch = snap->lookup(req.xs, req.seed);
+      } else {
+        response.pdf = snap->distribution(req.xs);
+        response.pick =
+            stream->manager->recommend(req.architecture, response.pdf);
+      }
+    } catch (...) {
+      job->done({}, std::current_exception());
+      return;
+    }
+    response.snapshot_version = snap->version();
+    response.seconds = timer.seconds();
+    {
+      util::MutexLock lock(stream->stats_mutex);
+      StreamStats& c = stream->counters;
+      ++(c.*ledger.answered);
+      if constexpr (is_label) {
+        c.samples_labeled += req.xs.dim(0);
+        c.labels_reused += response.reuse.reused;
+        c.labels_computed += response.reuse.computed;
+      }
+      c.busy_seconds += response.seconds;
+      c.max_request_seconds =
+          std::max(c.max_request_seconds, response.seconds);
+    }
+    if constexpr (is_label) {
+      // Serving-side Fig. 16 policy: the data just labeled doubles as the
+      // drift probe, gated by this stream's RetrainPolicy.
+      maybe_auto_retrain(stream, req.xs);
+    }
+    job->done(std::move(response), nullptr);
+  });
+  if (!admitted) {
+    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
+    {
+      util::MutexLock lock(stream->stats_mutex);
+      ++(stream->counters.*ledger.shed);
+    }
+    return reject(job->done, ServeStatus::kShedOverload);
+  }
   cas_max(max_queue_depth_, workers_.queue_depth());
 }
 
-std::future<LabelResponse> DataService::submit(LabelRequest request) {
+void DataService::submit(LabelRequest request, Done<LabelResponse> done) {
   FAIRDMS_CHECK(request.fallback_labeler != nullptr,
                 "LabelRequest without a fallback labeler");
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<LabelResponse>(ServeStatus::kUnknownStream);
-  }
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_shed;
-    return rejected_future<LabelResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<LabelRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    LabelResponse response;
-    response.batch = snap->lookup_or_label(
-        req->xs, req->threshold, req->fallback_labeler, &response.reuse);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.label_answered;
-      stream->counters.samples_labeled += req->xs.dim(0);
-      stream->counters.labels_reused += response.reuse.reused;
-      stream->counters.labels_computed += response.reuse.computed;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    // Serving-side Fig. 16 policy: the data just labeled doubles as the
-    // drift probe, gated by this stream's RetrainPolicy.
-    maybe_auto_retrain(stream, req->xs);
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.label_shed;
-    return rejected_future<LabelResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  serve(std::move(request), std::move(done));
+}
+
+void DataService::submit(LookupRequest request, Done<LookupResponse> done) {
+  serve(std::move(request), std::move(done));
+}
+
+void DataService::submit(RecommendRequest request,
+                         Done<RecommendResponse> done) {
+  serve(std::move(request), std::move(done));
+}
+
+std::future<LabelResponse> DataService::submit(LabelRequest request) {
+  return submit_as_future<LabelResponse>(*this, std::move(request));
 }
 
 std::future<LookupResponse> DataService::submit(LookupRequest request) {
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<LookupResponse>(ServeStatus::kUnknownStream);
-  }
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_shed;
-    return rejected_future<LookupResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<LookupRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    LookupResponse response;
-    response.batch = snap->lookup(req->xs, req->seed);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.lookup_answered;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.lookup_shed;
-    return rejected_future<LookupResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  return submit_as_future<LookupResponse>(*this, std::move(request));
 }
 
 std::future<RecommendResponse> DataService::submit(RecommendRequest request) {
-  auto stream = registry_.find(request.stream);
-  if (stream == nullptr) {
-    unknown_stream_requests_.fetch_add(1, std::memory_order_relaxed);
-    return rejected_future<RecommendResponse>(ServeStatus::kUnknownStream);
-  }
-  FAIRDMS_CHECK(stream->manager != nullptr, "RecommendRequest on stream '",
-                stream->name, "' without a ModelManager");
-  {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_requests;
-  }
-  if (!reserve_pending(*stream)) {
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_shed;
-    return rejected_future<RecommendResponse>(ServeStatus::kShedOverload);
-  }
-  auto req = std::make_shared<RecommendRequest>(std::move(request));
-  auto admitted = workers_.try_async([this, stream, req] {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::WallTimer timer;
-    const auto snap = stream->ds->snapshot();
-    FAIRDMS_CHECK(snap != nullptr, "DataService: stream '", stream->name,
-                  "' not trained");
-    RecommendResponse response;
-    response.pdf = snap->distribution(req->xs);
-    response.pick = stream->manager->recommend(req->architecture, response.pdf);
-    response.snapshot_version = snap->version();
-    response.seconds = timer.seconds();
-    {
-      util::MutexLock lock(stream->stats_mutex);
-      ++stream->counters.recommend_answered;
-      stream->counters.busy_seconds += response.seconds;
-      stream->counters.max_request_seconds =
-          std::max(stream->counters.max_request_seconds, response.seconds);
-    }
-    return response;
-  });
-  if (!admitted) {
-    stream->pending.fetch_sub(1, std::memory_order_acq_rel);
-    util::MutexLock lock(stream->stats_mutex);
-    ++stream->counters.recommend_shed;
-    return rejected_future<RecommendResponse>(ServeStatus::kShedOverload);
-  }
-  note_admitted(*stream);
-  return std::move(*admitted);
+  return submit_as_future<RecommendResponse>(*this, std::move(request));
 }
 
 void DataService::maybe_auto_retrain(const std::shared_ptr<Stream>& stream,

@@ -12,17 +12,19 @@
 // constructor registers, and what wire-v1 peers resolve to).
 //
 // Two planes per stream, shared worker pool:
-//  * User plane: submit() routes the request to its stream, enqueues it on
-//    the shared worker pool, and returns a std::future. Each request loads
-//    that stream's current immutable snapshot and runs lock-free against
-//    it. Admission is two-level: the per-stream bound
+//  * User plane: submit(request, done) routes the request to its stream,
+//    enqueues it on the shared worker pool, and calls `done` with the
+//    response when the request finishes — the completion callback is the
+//    primitive, and submit(request) is a thin std::future adapter over it.
+//    Each request loads that stream's current immutable snapshot and runs
+//    lock-free against it. Admission is two-level: the per-stream bound
 //    (StreamConfig::max_pending) sheds a single saturated tenant without
 //    touching the others, then the service-wide bound
 //    (DataServiceConfig::max_pending) sheds when the whole facility is
-//    full. Both shed with an immediately-ready kShedOverload response —
-//    never by blocking the submitter. A request naming an unregistered
-//    stream is answered the same way with kUnknownStream (a structured
-//    status, not an abort).
+//    full. Both shed with a kShedOverload response delivered before
+//    submit() returns — never by blocking the submitter. A request naming
+//    an unregistered stream is answered the same way with kUnknownStream
+//    (a structured status, not an abort).
 //  * System plane: each stream owns a dedicated single-thread retrain
 //    executor, so one tenant's retrain storm serializes behind its own
 //    executor and never queues in front of another tenant's checks. At
@@ -39,6 +41,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -114,6 +118,24 @@ class DataService {
   [[nodiscard]] std::vector<std::string> stream_names() const;
 
   // --- user plane -----------------------------------------------------------
+  /// Completion callback of the callback-form submit(). Runs exactly once
+  /// per request and never under a service lock: on the submitting thread,
+  /// before submit() returns, for a shed or unknown-stream request; on a
+  /// worker otherwise (after a label request's RetrainPolicy gate).
+  /// `error` is set only when the request's own code (a LabelRequest's
+  /// fallback_labeler) threw; `response` is then default-constructed and
+  /// the request is counted neither answered nor shed. Must not throw.
+  template <typename Response>
+  using Done =
+      std::function<void(Response response, std::exception_ptr error)>;
+
+  void submit(LabelRequest request, Done<LabelResponse> done);
+  void submit(LookupRequest request, Done<LookupResponse> done);
+  void submit(RecommendRequest request, Done<RecommendResponse> done);
+
+  /// Future adapters over the callback form: a shed or unknown-stream
+  /// future is ready at return, and an exception from the request's own
+  /// code comes out of get().
   [[nodiscard]] std::future<LabelResponse> submit(LabelRequest request);
   [[nodiscard]] std::future<LookupResponse> submit(LookupRequest request);
   [[nodiscard]] std::future<RecommendResponse> submit(
@@ -162,11 +184,13 @@ class DataService {
   }
 
  private:
+  /// The one user-plane request path behind every submit(): route, count,
+  /// admit, then on a worker execute, account and call `done`.
+  template <typename Request, typename Response>
+  void serve(Request request, Done<Response> done);
   /// Two-level admission: reserve a per-stream pending slot (CAS against
   /// the stream bound), false => per-stream shed.
   static bool reserve_pending(Stream& stream);
-  /// High-water bookkeeping after a successful admission.
-  void note_admitted(Stream& stream);
   /// The fig16 policy gate, evaluated after an answered label request.
   void maybe_auto_retrain(const std::shared_ptr<Stream>& stream,
                           const Tensor& xs);

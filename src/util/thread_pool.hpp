@@ -23,7 +23,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <type_traits>
@@ -38,7 +37,7 @@ class ThreadPool {
  public:
   /// `threads == 0` means hardware_concurrency (at least 1).
   /// `max_queue` bounds the number of *waiting* tasks admitted through
-  /// try_submit/try_async (tasks already executing don't count); 0 means
+  /// try_submit (tasks already executing don't count); 0 means
   /// unbounded. submit()/async()/parallel_for ignore the bound — they are
   /// the internal data-parallel substrate and must never fail — so the
   /// bound only governs callers that opt into admission control.
@@ -62,8 +61,7 @@ class ThreadPool {
   [[nodiscard]] bool try_submit(std::function<void()> task);
 
   /// Enqueue a task and get a std::future for its result (exceptions
-  /// propagate through the future). The request-submission substrate of
-  /// the service layer.
+  /// propagate through the future).
   template <typename F>
   [[nodiscard]] auto async(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
@@ -73,19 +71,6 @@ class ThreadPool {
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
     submit([task] { (*task)(); });
-    return result;
-  }
-
-  /// Bounded async: like async() but through try_submit. nullopt means the
-  /// queue was full and the callable was not (and will never be) invoked.
-  template <typename F>
-  [[nodiscard]] auto try_async(F&& fn)
-      -> std::optional<std::future<std::invoke_result_t<F>>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    if (!try_submit([task] { (*task)(); })) return std::nullopt;
     return result;
   }
 

@@ -1,16 +1,20 @@
-// Admission-control tests: the bounded ThreadPool queue (try_submit /
-// try_async semantics), the DataService load-shedding policy (a saturated
+// Admission-control tests: the bounded ThreadPool queue (try_submit
+// semantics), the DataService load-shedding policy (a saturated
 // pending queue rejects with ServeStatus::kShedOverload, immediately and
-// without ever blocking the submitter), full drain after a burst, and the
+// without ever blocking the submitter), full drain after a burst, the
 // admission ledger (per-op submitted == answered + shed, queue gauges,
-// retrain coalescing counter). Carries the `service` label, so the TSan CI
-// job and the Release `--repeat until-fail:3` stress step cover it.
+// retrain coalescing counter), and the completion-callback contract of
+// submit(request, done) (exactly once, inline for rejections, no service
+// lock held, request errors delivered). Carries the `service` label, so
+// the TSan CI job and the Release `--repeat until-fail:3` stress step
+// cover it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -86,25 +90,6 @@ TEST(BoundedThreadPool, UnboundedPoolNeverRejects) {
   gate.open();
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(BoundedThreadPool, TryAsyncReturnsNulloptWhenFull) {
-  util::ThreadPool pool(1, /*max_queue=*/1);
-  WorkerGate gate;
-  pool.submit(gate.task());
-  gate.wait_entered();
-  auto accepted = pool.try_async([] { return 7; });
-  ASSERT_TRUE(accepted.has_value());
-  std::atomic<bool> leaked{false};
-  auto rejected = pool.try_async([&leaked] {
-    leaked.store(true);
-    return 8;
-  });
-  EXPECT_FALSE(rejected.has_value());
-  gate.open();
-  pool.wait_idle();
-  EXPECT_EQ(accepted->get(), 7);
-  EXPECT_FALSE(leaked.load());  // the rejected callable was never invoked
 }
 
 // --- DataService load shedding ----------------------------------------------
@@ -450,6 +435,133 @@ TEST_F(AdmissionFixture, GlobalStatsReconcileWithPerStreamLedgers) {
   EXPECT_EQ(stats.lookup_answered, 1u);
   EXPECT_EQ(stats.retrain_checks, 1u);
   EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+// --- completion-callback contract -------------------------------------------
+
+/// Records every run of one request's completion callback. `thread` and
+/// `status` are read only after wait_idle() (or for inline runs, on the
+/// submitting thread itself).
+struct DoneProbe {
+  std::atomic<int> calls{0};
+  std::atomic<bool> errored{false};
+  std::thread::id thread;
+  service::ServeStatus status = service::ServeStatus::kOk;
+
+  service::DataService::Done<service::LabelResponse> done() {
+    return [this](service::LabelResponse response, std::exception_ptr error) {
+      thread = std::this_thread::get_id();
+      status = response.status;
+      errored.store(error != nullptr);
+      calls.fetch_add(1);
+    };
+  }
+};
+
+TEST_F(AdmissionFixture, CallbackRunsOnceAndAnswersRejectionsInline) {
+  service::DataService service(*ds_, {.workers = 1, .max_pending = 1});
+  WorkerGate gate;
+  DoneProbe wedged, queued, shed, unknown;
+  service.submit(service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)},
+                 wedged.done());
+  gate.wait_entered();
+  service.submit(service::LabelRequest{query_.xs, 1e9, fast_labeler()},
+                 queued.done());
+
+  // Service-wide bound full: answered on this thread before submit returns.
+  service.submit(service::LabelRequest{query_.xs, 1e9, fast_labeler()},
+                 shed.done());
+  EXPECT_EQ(shed.calls.load(), 1);
+  EXPECT_EQ(shed.thread, std::this_thread::get_id());
+  EXPECT_EQ(shed.status, service::ServeStatus::kShedOverload);
+
+  service.submit(
+      service::LabelRequest{query_.xs, 1e9, fast_labeler(), "never-added"},
+      unknown.done());
+  EXPECT_EQ(unknown.calls.load(), 1);
+  EXPECT_EQ(unknown.thread, std::this_thread::get_id());
+  EXPECT_EQ(unknown.status, service::ServeStatus::kUnknownStream);
+
+  EXPECT_EQ(wedged.calls.load(), 0);
+  EXPECT_EQ(queued.calls.load(), 0);
+  gate.open();
+  service.wait_idle();
+
+  for (const DoneProbe* probe : {&wedged, &queued, &shed, &unknown}) {
+    EXPECT_EQ(probe->calls.load(), 1);
+    EXPECT_FALSE(probe->errored.load());
+  }
+  EXPECT_EQ(wedged.status, service::ServeStatus::kOk);
+  EXPECT_EQ(queued.status, service::ServeStatus::kOk);
+  EXPECT_NE(wedged.thread, std::this_thread::get_id());
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.label_requests, 3u);
+  EXPECT_EQ(stats.label_answered, 2u);
+  EXPECT_EQ(stats.label_shed, 1u);
+  EXPECT_EQ(stats.unknown_stream_requests, 1u);
+}
+
+// stats() takes the pool mutex and then each stream's stats mutex; from a
+// callback run under either, it would self-deadlock (and abort under the
+// Debug lock-rank checker). The reads also show the ledger is settled
+// before `done` runs.
+TEST_F(AdmissionFixture, CallbackRunsWithNoServiceLockHeld) {
+  service::DataService service(*ds_, {.workers = 1, .max_pending = 1});
+  std::atomic<std::uint64_t> answered_seen{0};
+  service.submit(service::LookupRequest{query_.xs, 5},
+                 [&](service::LookupResponse response, std::exception_ptr) {
+                   EXPECT_EQ(response.status, service::ServeStatus::kOk);
+                   answered_seen.store(service.stats().lookup_answered);
+                 });
+  service.wait_idle();
+  EXPECT_EQ(answered_seen.load(), 1u);
+
+  WorkerGate gate;
+  auto occupant = service.submit(
+      service::LabelRequest{query_.xs, -1.0, gated_labeler(gate)});
+  gate.wait_entered();
+  auto queued = service.submit(
+      service::LabelRequest{query_.xs, 1e9, fast_labeler()});
+  std::uint64_t shed_seen = 0;
+  service.submit(service::LabelRequest{query_.xs, 1e9, fast_labeler()},
+                 [&](service::LabelResponse, std::exception_ptr) {
+                   shed_seen = service.stats().label_shed;
+                 });
+  EXPECT_EQ(shed_seen, 1u);
+  gate.open();
+  (void)occupant.get();
+  (void)queued.get();
+  service.wait_idle();
+}
+
+TEST_F(AdmissionFixture, ThrowingFallbackLabelerComesOutOfGet) {
+  service::DataService service(*ds_, {.workers = 1});
+  const auto throwing = [](const Tensor&) -> Tensor {
+    throw std::runtime_error("labeler down");
+  };
+  // threshold -1: nothing reuses, so every sample reaches the labeler.
+  auto future =
+      service.submit(service::LabelRequest{query_.xs, -1.0, throwing});
+  EXPECT_THROW((void)future.get(), std::runtime_error);
+
+  DoneProbe probe;
+  service.submit(service::LabelRequest{query_.xs, -1.0, throwing},
+                 probe.done());
+  service.wait_idle();
+  EXPECT_EQ(probe.calls.load(), 1);
+  EXPECT_TRUE(probe.errored.load());
+
+  // A failed request is counted neither answered nor shed, and the worker
+  // that ran it keeps serving.
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.label_requests, 2u);
+  EXPECT_EQ(stats.label_answered, 0u);
+  EXPECT_EQ(stats.label_shed, 0u);
+  EXPECT_EQ(service.submit(service::LabelRequest{query_.xs, 1e9,
+                                                 fast_labeler()})
+                .get()
+                .status,
+            service::ServeStatus::kOk);
 }
 
 }  // namespace

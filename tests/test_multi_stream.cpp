@@ -2,7 +2,8 @@
 // stream never answer another's queries), per-stream snapshot version
 // monotonicity under concurrent ingest/lookup/retrain, per-stream shed
 // accounting (one saturated tenant sheds without touching the others),
-// unknown-stream structured answers, and the RetrainPolicy gates
+// unknown-stream structured answers (both also through the completion-
+// callback form, answered inline), and the RetrainPolicy gates
 // (min-new-samples, cooldown, forced threshold). Carries the `service`
 // label, so the TSan CI job and the Release `--repeat until-fail:3` stress
 // step cover the concurrent paths.
@@ -289,6 +290,73 @@ TEST_F(MultiStreamFixture, UnknownStreamIsAStructuredAnswerNotAnAbort) {
   auto ok = service.submit(
       service::LabelRequest{query.xs, 1e9, fast_labeler(), name(1)});
   EXPECT_EQ(ok.get().status, service::ServeStatus::kOk);
+}
+
+// The callback form of a per-stream shed and of unknown-stream requests:
+// each `done` runs exactly once, on the submitting thread, before submit()
+// returns — the rejection path never reaches a worker.
+TEST_F(MultiStreamFixture, RejectionCallbacksRunOnceOnTheSubmitterThread) {
+  service::DataService service({.workers = 1});
+  service::StreamConfig bounded;
+  bounded.max_pending = 1;
+  ASSERT_TRUE(service.add_stream(name(0), *streams_[0], bounded));
+
+  std::promise<void> release;
+  std::shared_future<void> opened = release.get_future().share();
+  std::atomic<bool> entered{false};
+  const std::size_t width = label_width_;
+  const auto gated = [&entered, opened, width](const Tensor& xs) {
+    entered.store(true);
+    opened.wait();
+    return Tensor({xs.dim(0), width});
+  };
+  const nn::Batchset query = regime_data(0.0, 4, 902);
+  std::atomic<int> answered_calls{0};
+  const auto answered = [&](service::LabelResponse response,
+                            std::exception_ptr error) {
+    EXPECT_EQ(response.status, service::ServeStatus::kOk);
+    EXPECT_EQ(error, nullptr);
+    answered_calls.fetch_add(1);
+  };
+  service.submit(service::LabelRequest{query.xs, -1.0, gated, name(0)},
+                 answered);
+  while (!entered.load()) std::this_thread::yield();
+  service.submit(
+      service::LabelRequest{query.xs, 1e9, fast_labeler(), name(0)},
+      answered);
+
+  const auto caller = std::this_thread::get_id();
+  std::vector<service::ServeStatus> rejected;
+  const auto record = [&](service::ServeStatus status) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    rejected.push_back(status);
+  };
+  service.submit(
+      service::LabelRequest{query.xs, 1e9, fast_labeler(), name(0)},
+      [&](service::LabelResponse r, std::exception_ptr) { record(r.status); });
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_EQ(rejected[0], service::ServeStatus::kShedOverload);
+  service.submit(
+      service::LookupRequest{query.xs, 1, "never-added"},
+      [&](service::LookupResponse r, std::exception_ptr) { record(r.status); });
+  service.submit(
+      service::RecommendRequest{"braggnn", query.xs, "never-added"},
+      [&](service::RecommendResponse r, std::exception_ptr) {
+        record(r.status);
+      });
+  ASSERT_EQ(rejected.size(), 3u);
+  EXPECT_EQ(rejected[1], service::ServeStatus::kUnknownStream);
+  EXPECT_EQ(rejected[2], service::ServeStatus::kUnknownStream);
+
+  release.set_value();
+  service.wait_idle();
+  EXPECT_EQ(answered_calls.load(), 2);
+  EXPECT_EQ(rejected.size(), 3u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.label_requests, 3u);
+  EXPECT_EQ(stats.label_answered, 2u);
+  EXPECT_EQ(stats.label_shed, 1u);
+  EXPECT_EQ(stats.unknown_stream_requests, 2u);
 }
 
 // RetrainPolicy gates: min-new-samples accumulates before the first check

@@ -6,16 +6,20 @@
 // answers kMalformedRequest or closes cleanly, never crashes), wire-level
 // admission shedding (kShedOverload with an empty payload, answered in
 // O(1) while the workers are wedged), out-of-order responses matched by
-// correlation id, and the graceful drain protocol (in-flight requests
-// complete, new user-plane frames get kShuttingDown, stats stays up).
+// correlation id, the graceful drain protocol (in-flight requests
+// complete, new user-plane frames get kShuttingDown, stats stays up), and
+// the completion path's threading (the Server adds one thread; a Server
+// destroyed right after a reply outlives the callback that sent it).
 // Carries the `service` label: the TSan CI job and the Release
 // `--repeat until-fail:3` stress step run exactly this kind of suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -902,6 +906,79 @@ TEST_F(NetFixture, UnknownStreamAnsweredStructurallyConnectionUsable) {
 
   EXPECT_GE(served.server->counters().unknown_stream_responses, 4u);
   EXPECT_EQ(served.server->counters().malformed_frames, 0u);
+}
+
+// --- completion threading --------------------------------------------------
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Responses complete by callback on the service's own workers, so the
+// front-end's only thread is its event loop — whatever the worker count.
+TEST_F(NetFixture, ServerAddsExactlyOneThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  service::DataService service(*ds_, {.workers = 4}, manager_.get());
+  net::ServerConfig config;
+  config.fallback_labeler = zero_labeler;
+  const std::size_t before = process_threads();
+  net::Server server(service, config);
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ(process_threads(), before + 1);
+}
+
+// The completion callback runs on a service worker, not a Server thread,
+// and may still be running when the client already holds the reply. The
+// Server is destroyed at that moment, fifty times over, under the ASan and
+// TSan jobs too. A callback that touched Server state after the
+// outstanding_ decrement that releases stop() would be a use after free;
+// that window is a few instructions wide, so this exercises the teardown
+// path rather than forcing the bad interleaving.
+TEST_F(NetFixture, ServerDestroyedRightAfterAReplyOutlivesItsCallbacks) {
+  service::DataService service(*ds_, {.workers = 2}, manager_.get());
+  net::ServerConfig config;
+  config.fallback_labeler = zero_labeler;
+  const nn::Batchset query = regime_data(0.0, 2, 106);
+  for (int i = 0; i < 50; ++i) {
+    auto server = std::make_unique<net::Server>(service, config);
+    ASSERT_TRUE(server->ok());
+    net::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server->port()));
+    const std::uint64_t cid = client.send_lookup({query.xs, 3});
+    ASSERT_NE(cid, 0u);
+    const auto reply = client.recv_reply();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->header.correlation_id, cid);
+    EXPECT_EQ(reply->header.status, service::ServeStatus::kOk);
+    server.reset();
+  }
+  service.wait_idle();
+  EXPECT_EQ(service.stats().lookup_answered, 50u);
+}
+
+// A server-side labeler that throws is a failed request, not a failed
+// server: the peer gets a structured answer on its correlation id and the
+// connection keeps serving.
+TEST_F(NetFixture, ThrowingFallbackLabelerIsAnsweredNotFatal) {
+  auto served = serve({.workers = 1}, [](const Tensor&) -> Tensor {
+    throw std::runtime_error("labeler down");
+  });
+  net::Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", served.server->port()));
+  const nn::Batchset query = regime_data(0.0, 4, 107);
+  const auto failed = client.label({query.xs, -1.0, nullptr});
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status, service::ServeStatus::kMalformedRequest);
+  const auto lookup = client.lookup({query.xs, 3});
+  ASSERT_TRUE(lookup.has_value());
+  EXPECT_EQ(lookup->status, service::ServeStatus::kOk);
 }
 
 }  // namespace
