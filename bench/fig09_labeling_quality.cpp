@@ -23,6 +23,7 @@ constexpr std::size_t kNewData = 192;   // BR: the new experimental dataset
 constexpr std::size_t kHoldout = 64;    // BH
 constexpr std::size_t kTrainEpochs = 25;
 constexpr std::uint64_t kSeed = 909;
+constexpr double kMaxConventionalP50Px = 1.0;  // exit nonzero above this
 }  // namespace
 
 int main() {
@@ -137,5 +138,14 @@ int main() {
   bench::print_footer(
       "the two error distributions are statistically equivalent while "
       "fairDS labels far faster than the pseudo-Voigt code");
+  // A broken fitter must fail CI, not merely get faster: conventional
+  // labels train BraggNN to well under a pixel at the median.
+  const double conv_p50 = util::percentile(conv_errors, 50.0);
+  if (conv_p50 > kMaxConventionalP50Px) {
+    std::fprintf(stderr,
+                 "FAIL: conventional-label P50 error %.3f px exceeds %.1f px\n",
+                 conv_p50, kMaxConventionalP50Px);
+    return 1;
+  }
   return 0;
 }

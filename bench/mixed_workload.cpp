@@ -431,15 +431,18 @@ int check_graceful(const Preset& preset, const RunResult& r) {
   }
   const service::ServiceStats& s = r.stats;
   // The admission ledger must reconcile exactly once idle: every submit
-  // was either answered or shed, nothing lost, nothing double-counted.
-  if (s.label_requests != s.label_answered + s.label_shed) {
-    fail("label_requests != label_answered + label_shed");
+  // was answered, shed or failed, nothing lost, nothing double-counted.
+  if (s.label_requests != s.label_answered + s.label_shed + s.label_failed) {
+    fail("label_requests != label_answered + label_shed + label_failed");
   }
-  if (s.lookup_requests != s.lookup_answered + s.lookup_shed) {
-    fail("lookup_requests != lookup_answered + lookup_shed");
+  if (s.lookup_requests !=
+      s.lookup_answered + s.lookup_shed + s.lookup_failed) {
+    fail("lookup_requests != lookup_answered + lookup_shed + lookup_failed");
   }
-  if (s.recommend_requests != s.recommend_answered + s.recommend_shed) {
-    fail("recommend_requests != recommend_answered + recommend_shed");
+  if (s.recommend_requests !=
+      s.recommend_answered + s.recommend_shed + s.recommend_failed) {
+    fail("recommend_requests != recommend_answered + recommend_shed + "
+         "recommend_failed");
   }
   // Client-observed outcomes must agree with the service's ledger (deltas
   // against the post-warmup baseline: the warmup request is outside the

@@ -329,20 +329,24 @@ int main(int argc, char** argv) {
     }
   }
   // Per-stream ledgers must reconcile with the global aggregates.
-  std::uint64_t sum_requests = 0, sum_answered = 0, sum_shed = 0;
+  std::uint64_t sum_requests = 0, sum_answered = 0, sum_shed = 0,
+                sum_failed = 0;
   for (const auto& s : stats.streams) {
     sum_requests += s.label_requests + s.lookup_requests +
                     s.recommend_requests;
     sum_answered += s.label_answered + s.lookup_answered +
                     s.recommend_answered;
     sum_shed += s.label_shed + s.lookup_shed + s.recommend_shed;
+    sum_failed += s.label_failed + s.lookup_failed + s.recommend_failed;
   }
   if (sum_requests != stats.label_requests + stats.lookup_requests +
                           stats.recommend_requests ||
       sum_answered != stats.label_answered + stats.lookup_answered +
                           stats.recommend_answered ||
       sum_shed !=
-          stats.label_shed + stats.lookup_shed + stats.recommend_shed) {
+          stats.label_shed + stats.lookup_shed + stats.recommend_shed ||
+      sum_failed !=
+          stats.label_failed + stats.lookup_failed + stats.recommend_failed) {
     fail("per-stream ledgers do not reconcile with the global aggregates");
   }
 

@@ -399,22 +399,26 @@ int check_graceful(const ClientResult& merged, bool children_ok,
       merged.ops[2].answered;
   if (user_answered == 0) fail("100% of user-plane traffic was shed");
   // Wire ledger: the service's counters, read over the stats endpoint, must
-  // reconcile exactly with what the client processes observed. The
-  // malformed probes never reach the service, so they must NOT appear.
+  // reconcile exactly with what the client processes observed (whose
+  // tallies have no failed outcome, so the service must have failed none).
+  // The malformed probes never reach the service, so they must NOT appear.
   using S = service::ServiceStats;
   if (wire.d(&S::label_requests) != merged.ops[0].submitted ||
       wire.d(&S::label_answered) != merged.ops[0].answered ||
-      wire.d(&S::label_shed) != merged.ops[0].shed) {
+      wire.d(&S::label_shed) != merged.ops[0].shed ||
+      wire.d(&S::label_failed) != 0) {
     fail("wire label ledger disagrees with client processes");
   }
   if (wire.d(&S::lookup_requests) != merged.ops[1].submitted ||
       wire.d(&S::lookup_answered) != merged.ops[1].answered ||
-      wire.d(&S::lookup_shed) != merged.ops[1].shed) {
+      wire.d(&S::lookup_shed) != merged.ops[1].shed ||
+      wire.d(&S::lookup_failed) != 0) {
     fail("wire lookup ledger disagrees with client processes");
   }
   if (wire.d(&S::recommend_requests) != merged.ops[2].submitted ||
       wire.d(&S::recommend_answered) != merged.ops[2].answered ||
-      wire.d(&S::recommend_shed) != merged.ops[2].shed) {
+      wire.d(&S::recommend_shed) != merged.ops[2].shed ||
+      wire.d(&S::recommend_failed) != 0) {
     fail("wire recommend ledger disagrees with client processes");
   }
   if (wire.final.queue_depth != 0) {

@@ -13,10 +13,13 @@ FairDMS::FairDMS(FairDMSConfig config, fairds::FairDS& data_service,
       ds_(&data_service),
       zoo_(db, config_.model_cache_bytes),
       manager_(zoo_, config_.distance_threshold),
-      // The update workflow submits one request at a time, so two workers
-      // suffice; background retrain stays an explicit caller decision here.
+      // The update workflow awaits each request before the next, so one
+      // worker suffices, and a one-worker pool's task may fan its kernels
+      // out onto the idle cores (thread_pool.hpp) where a second worker
+      // would make them run inline. Background retrain stays an explicit
+      // caller decision here.
       service_(data_service,
-               service::DataServiceConfig{.workers = 2, .auto_retrain = false},
+               service::DataServiceConfig{.workers = 1, .auto_retrain = false},
                &manager_) {}
 
 double FairDMS::charge_transfer(const std::string& src, const std::string& dst,

@@ -70,7 +70,8 @@ class FairDMS {
   [[nodiscard]] fairms::ModelZoo& zoo() { return zoo_; }
   [[nodiscard]] fairms::ModelManager& manager() { return manager_; }
   /// The serving facade the update workflow submits its user-plane
-  /// requests through; also available to callers for direct async use.
+  /// requests through (one worker); also available to callers for direct
+  /// async use.
   [[nodiscard]] service::DataService& service() { return service_; }
   [[nodiscard]] const FairDMSConfig& config() const { return config_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -12,19 +13,89 @@ namespace fairdms::labeling {
 namespace {
 
 constexpr std::size_t kNumParams = 6;
+constexpr double kMinSigma = 0.3;
 
-/// Model value and analytic-free (finite-difference) Jacobian row at (x, y).
-double model_value(const double* p, double x, double y) {
-  datagen::PeakParams pk;
-  pk.center_x = p[0];
-  pk.center_y = p[1];
-  pk.sigma_major = std::max(0.3, p[2]);
-  pk.sigma_minor = std::max(0.3, p[2]);  // isotropic footprint
-  pk.theta = 0.0;
-  pk.eta = std::clamp(p[3], 0.0, 1.0);
-  pk.amplitude = p[4];
-  pk.background = p[5];
-  return datagen::pseudo_voigt(pk, x, y);
+/// Sums of one pass over the patch at parameters p: the squared residual
+/// and the Gauss-Newton normal equations J^T J (upper triangle) and J^T r.
+struct NormalEquations {
+  double ss = 0.0;
+  double jtj[kNumParams][kNumParams] = {};
+  double jtr[kNumParams] = {};
+};
+
+/// Evaluates the isotropic pseudo-Voigt
+///   f = b + A (eta L + (1 - eta) G),  G = exp(-r2 / 2),  L = 1 / (1 + r2),
+///   r2 = ((x - cx)^2 + (y - cy)^2) / sigma^2
+/// at every pixel with its closed-form partials. p must lie in the box
+/// (sigma >= kMinSigma, eta in [0, 1]); there every partial is the
+/// one-sided derivative, so no Jacobian column is clamped to zero.
+NormalEquations evaluate(std::span<const float> patch, std::size_t size,
+                         const double* p) {
+  const double cx = p[0], cy = p[1], sigma = p[2], eta = p[3], amp = p[4],
+               bg = p[5];
+  const double inv_s2 = 1.0 / (sigma * sigma);
+  NormalEquations ne;
+  double j[kNumParams];
+  j[5] = 1.0;  // df/db
+  for (std::size_t y = 0; y < size; ++y) {
+    const double dy = static_cast<double>(y) - cy;
+    for (std::size_t x = 0; x < size; ++x) {
+      const double dx = static_cast<double>(x) - cx;
+      const double r2 = (dx * dx + dy * dy) * inv_s2;
+      const double g = std::exp(-0.5 * r2);
+      const double l = 1.0 / (1.0 + r2);
+      const double mix = eta * l + (1.0 - eta) * g;
+      const double r =
+          bg + amp * mix - static_cast<double>(patch[y * size + x]);
+      // df/dr2, then the center and width partials through r2.
+      const double df_dr2 = -amp * (eta * l * l + 0.5 * (1.0 - eta) * g);
+      j[0] = -2.0 * df_dr2 * dx * inv_s2;
+      j[1] = -2.0 * df_dr2 * dy * inv_s2;
+      j[2] = -2.0 * df_dr2 * r2 / sigma;
+      j[3] = amp * (l - g);
+      j[4] = mix;
+      ne.ss += r * r;
+      for (std::size_t a = 0; a < kNumParams; ++a) {
+        ne.jtr[a] += j[a] * r;
+        for (std::size_t b = a; b < kNumParams; ++b) {
+          ne.jtj[a][b] += j[a] * j[b];
+        }
+      }
+    }
+  }
+  return ne;
+}
+
+/// Solves (J^T J with its diagonal scaled by 1 + lambda) dp = -J^T r by
+/// Gaussian elimination with partial pivoting; false if singular.
+bool solve_damped(const NormalEquations& ne, double lambda, double* dp) {
+  double aug[kNumParams][kNumParams + 1];
+  for (std::size_t a = 0; a < kNumParams; ++a) {
+    for (std::size_t b = 0; b < kNumParams; ++b) {
+      aug[a][b] = a <= b ? ne.jtj[a][b] : ne.jtj[b][a];
+    }
+    aug[a][a] *= 1.0 + lambda;
+    aug[a][kNumParams] = -ne.jtr[a];
+  }
+  for (std::size_t col = 0; col < kNumParams; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < kNumParams; ++r) {
+      if (std::fabs(aug[r][col]) > std::fabs(aug[pivot][col])) pivot = r;
+    }
+    if (std::fabs(aug[pivot][col]) < 1e-14) return false;
+    if (pivot != col) std::swap(aug[pivot], aug[col]);
+    for (std::size_t r = 0; r < kNumParams; ++r) {
+      if (r == col) continue;
+      const double f = aug[r][col] / aug[col][col];
+      for (std::size_t b = col; b <= kNumParams; ++b) {
+        aug[r][b] -= f * aug[col][b];
+      }
+    }
+  }
+  for (std::size_t a = 0; a < kNumParams; ++a) {
+    dp[a] = aug[a][kNumParams] / aug[a][a];
+  }
+  return true;
 }
 
 }  // namespace
@@ -32,7 +103,7 @@ double model_value(const double* p, double x, double y) {
 FitResult fit_peak(std::span<const float> patch, std::size_t size,
                    const FitConfig& config) {
   FAIRDMS_CHECK(patch.size() == size * size, "fit_peak: bad patch size");
-  const std::size_t m = patch.size();
+  const double m = static_cast<double>(patch.size());
 
   // Initial guess: centroid for position, moments for width/amplitude.
   double p[kNumParams];
@@ -47,111 +118,32 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
   p[4] = std::max(1e-3, static_cast<double>(hi - lo));  // amplitude
   p[5] = static_cast<double>(lo);                    // background
 
-  std::vector<double> residual(m);
-  std::vector<double> jacobian(m * kNumParams);
-  double lambda = config.initial_lambda;
-
-  auto compute_residual = [&](const double* params, std::vector<double>& r) {
-    double ss = 0.0;
-    for (std::size_t y = 0; y < size; ++y) {
-      for (std::size_t x = 0; x < size; ++x) {
-        const std::size_t i = y * size + x;
-        r[i] = model_value(params, static_cast<double>(x),
-                           static_cast<double>(y)) -
-               static_cast<double>(patch[i]);
-        ss += r[i] * r[i];
-      }
-    }
-    return ss / static_cast<double>(m);
-  };
-
   FitResult result;
-  double current_ss = compute_residual(p, residual);
+  NormalEquations current = evaluate(patch, size, p);
+  double lambda = config.initial_lambda;
 
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    // Finite-difference Jacobian (like MIDAS's generic minimizer; this is
-    // what makes conventional labeling expensive: 6 extra model evaluations
-    // per pixel per iteration).
-    for (std::size_t k = 0; k < kNumParams; ++k) {
-      const double h = std::max(1e-6, 1e-4 * std::fabs(p[k]));
-      double pk[kNumParams];
-      std::copy(p, p + kNumParams, pk);
-      pk[k] += h;
-      for (std::size_t y = 0; y < size; ++y) {
-        for (std::size_t x = 0; x < size; ++x) {
-          const std::size_t i = y * size + x;
-          const double f1 = model_value(pk, static_cast<double>(x),
-                                        static_cast<double>(y));
-          const double f0 = residual[i] + static_cast<double>(patch[i]);
-          jacobian[i * kNumParams + k] = (f1 - f0) / h;
-        }
-      }
-    }
-
-    // Normal equations with LM damping: (J^T J + lambda I) dp = -J^T r
-    double jtj[kNumParams][kNumParams] = {};
-    double jtr[kNumParams] = {};
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* jrow = jacobian.data() + i * kNumParams;
-      for (std::size_t a = 0; a < kNumParams; ++a) {
-        jtr[a] += jrow[a] * residual[i];
-        for (std::size_t b = a; b < kNumParams; ++b) {
-          jtj[a][b] += jrow[a] * jrow[b];
-        }
-      }
-    }
-    for (std::size_t a = 0; a < kNumParams; ++a) {
-      for (std::size_t b = 0; b < a; ++b) jtj[a][b] = jtj[b][a];
-      jtj[a][a] *= 1.0 + lambda;
-    }
-
-    // Gaussian elimination with partial pivoting.
-    double aug[kNumParams][kNumParams + 1];
-    for (std::size_t a = 0; a < kNumParams; ++a) {
-      for (std::size_t b = 0; b < kNumParams; ++b) aug[a][b] = jtj[a][b];
-      aug[a][kNumParams] = -jtr[a];
-    }
-    bool singular = false;
-    for (std::size_t col = 0; col < kNumParams; ++col) {
-      std::size_t pivot = col;
-      for (std::size_t r = col + 1; r < kNumParams; ++r) {
-        if (std::fabs(aug[r][col]) > std::fabs(aug[pivot][col])) pivot = r;
-      }
-      if (std::fabs(aug[pivot][col]) < 1e-14) {
-        singular = true;
-        break;
-      }
-      if (pivot != col) std::swap(aug[pivot], aug[col]);
-      for (std::size_t r = 0; r < kNumParams; ++r) {
-        if (r == col) continue;
-        const double f = aug[r][col] / aug[col][col];
-        for (std::size_t b = col; b <= kNumParams; ++b) {
-          aug[r][b] -= f * aug[col][b];
-        }
-      }
-    }
-    if (singular) {
+    double dp[kNumParams];
+    if (!solve_damped(current, lambda, dp)) {
       lambda *= 10.0;
       continue;
     }
 
-    double dp[kNumParams];
-    double step_norm = 0.0;
-    for (std::size_t a = 0; a < kNumParams; ++a) {
-      dp[a] = aug[a][kNumParams] / aug[a][a];
-      step_norm += dp[a] * dp[a];
-    }
-
+    // Project the trial point into the box; the step taken is what remains.
     double p_try[kNumParams];
     for (std::size_t a = 0; a < kNumParams; ++a) p_try[a] = p[a] + dp[a];
-    std::vector<double> r_try(m);
-    const double try_ss = compute_residual(p_try, r_try);
+    p_try[2] = std::max(kMinSigma, p_try[2]);
+    p_try[3] = std::clamp(p_try[3], 0.0, 1.0);
+    double step_norm = 0.0;
+    for (std::size_t a = 0; a < kNumParams; ++a) {
+      step_norm += (p_try[a] - p[a]) * (p_try[a] - p[a]);
+    }
 
-    if (try_ss < current_ss) {
+    const NormalEquations trial = evaluate(patch, size, p_try);
+    if (trial.ss < current.ss) {
       std::copy(p_try, p_try + kNumParams, p);
-      residual.swap(r_try);
-      current_ss = try_ss;
+      current = trial;
       lambda = std::max(1e-9, lambda * 0.3);
       if (std::sqrt(step_norm) < config.tolerance) {
         result.converged = true;
@@ -166,10 +158,10 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
   result.center_x = p[0];
   result.center_y = p[1];
   result.sigma = p[2];
-  result.eta = std::clamp(p[3], 0.0, 1.0);
+  result.eta = p[3];
   result.amplitude = p[4];
   result.background = p[5];
-  result.residual = current_ss;
+  result.residual = current.ss / m;
   return result;
 }
 
@@ -185,13 +177,16 @@ nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config,
   nn::Tensor labels({n, 2});
   const float* px = xs.data();
   float* py = labels.data();
+  std::vector<double> fit_seconds(n);
   util::WallTimer timer;
   util::ThreadPool::global().parallel_for(
       n,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
+          const util::WallTimer fit_timer;
           const FitResult fit =
               fit_peak({px + i * s * s, s * s}, s, config);
+          fit_seconds[i] = fit_timer.seconds();
           py[i * 2 + 0] =
               static_cast<float>((fit.center_x - mid) / static_cast<double>(s));
           py[i * 2 + 1] =
@@ -199,13 +194,12 @@ nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config,
         }
       },
       /*min_grain=*/1);
-  const double elapsed = timer.seconds();
-  if (elapsed_seconds != nullptr) *elapsed_seconds = elapsed;
+  if (elapsed_seconds != nullptr) *elapsed_seconds = timer.seconds();
   if (per_patch_seconds != nullptr) {
-    // Mean per-patch compute cost: wall time x threads / patches.
+    double total = 0.0;
+    for (double t : fit_seconds) total += t;
     *per_patch_seconds =
-        elapsed * static_cast<double>(util::ThreadPool::global().size()) /
-        static_cast<double>(std::max<std::size_t>(1, n));
+        total / static_cast<double>(std::max<std::size_t>(1, n));
   }
   return labels;
 }

@@ -1,12 +1,17 @@
 // Conventional (physics-based) Bragg-peak labeling: least-squares fit of a
 // 2-D pseudo-Voigt profile to a patch. This is the MIDAS analog — the
-// compute-intensive baseline that fairDS's label reuse is measured against
-// (paper Figs. 9 and 15).
+// baseline that fairDS's label reuse is measured against (paper Figs. 9 and
+// 15) — and the production labeler for the rows a drifted scan cannot reuse.
 //
 // The fit runs Levenberg–Marquardt-damped Gauss–Newton over
 // (center_x, center_y, sigma, eta, amplitude, background) with an isotropic
 // footprint (the label of interest is only the center of mass; widths are
-// nuisance parameters, matching how MIDAS reports peak positions).
+// nuisance parameters, matching how MIDAS reports peak positions). Each
+// iteration is one pass over the patch: per pixel one exp, one reciprocal
+// and the closed-form partials, accumulated straight into the normal
+// equations. Trial steps are projected into the box sigma >= 0.3,
+// eta in [0, 1], so a fit that reaches the box edge keeps moving instead of
+// stalling on a zero Jacobian column. Its cost is iterations x pixels.
 #pragma once
 
 #include <span>
@@ -43,7 +48,9 @@ FitResult fit_peak(std::span<const float> patch, std::size_t size,
 /// Labels every row of xs ([N, 1, S, S]) in parallel on the global thread
 /// pool; returns [N, 2] labels in the same normalized units as
 /// datagen::make_bragg_batchset. `elapsed_seconds` (optional) receives wall
-/// time; `per_patch_seconds` receives the mean single-patch cost.
+/// time; `per_patch_seconds` receives the mean of the per-fit times measured
+/// inside the workers (independent of pool size and of how many rows there
+/// are to share it).
 nn::Tensor label_patches(const nn::Tensor& xs, const FitConfig& config = {},
                          double* elapsed_seconds = nullptr,
                          double* per_patch_seconds = nullptr);

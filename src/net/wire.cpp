@@ -372,6 +372,9 @@ Bytes encode_stats_response(const service::ServiceStats& s,
   w.u64(s.retrains_capped);
   w.u64(s.policy_cooldown_skips);
   w.u64(s.unknown_stream_requests);
+  w.u64(s.label_failed);
+  w.u64(s.lookup_failed);
+  w.u64(s.recommend_failed);
   w.u32(static_cast<std::uint32_t>(s.streams.size()));
   for (const service::StreamStats& ss : s.streams) {
     w.str(ss.stream);
@@ -399,6 +402,9 @@ Bytes encode_stats_response(const service::ServiceStats& s,
     w.u64(ss.policy_cooldown_skips);
     w.u64(ss.snapshot_version);
     w.u64(ss.store_shards);
+    w.u64(ss.label_failed);
+    w.u64(ss.lookup_failed);
+    w.u64(ss.recommend_failed);
   }
   return w.take();
 }
@@ -424,12 +430,14 @@ bool decode_stats_response(std::span<const std::uint8_t> payload,
   if (version < 2) return r.done();
   std::uint32_t n_streams;
   if (!(r.u64(&s->retrains_capped) && r.u64(&s->policy_cooldown_skips) &&
-        r.u64(&s->unknown_stream_requests) && r.u32(&n_streams))) {
+        r.u64(&s->unknown_stream_requests) && r.u64(&s->label_failed) &&
+        r.u64(&s->lookup_failed) && r.u64(&s->recommend_failed) &&
+        r.u32(&n_streams))) {
     return false;
   }
-  // Each block is at least 4 (name length) + 24 * 8 bytes, so a hostile
+  // Each block is at least 4 (name length) + 27 * 8 bytes, so a hostile
   // count can't make the reserve allocate past what the payload backs.
-  if (n_streams > r.remaining() / (4 + 24 * 8)) return false;
+  if (n_streams > r.remaining() / (4 + 27 * 8)) return false;
   s->streams.clear();
   s->streams.reserve(n_streams);
   for (std::uint32_t i = 0; i < n_streams; ++i) {
@@ -446,7 +454,8 @@ bool decode_stats_response(std::span<const std::uint8_t> payload,
           r.u64(&ss.retrain_checks) && r.u64(&ss.retrains) &&
           r.u64(&ss.retrains_coalesced) && r.u64(&ss.retrains_capped) &&
           r.u64(&ss.policy_cooldown_skips) && r.u64(&ss.snapshot_version) &&
-          r.u64(&ss.store_shards))) {
+          r.u64(&ss.store_shards) && r.u64(&ss.label_failed) &&
+          r.u64(&ss.lookup_failed) && r.u64(&ss.recommend_failed))) {
       return false;
     }
     s->streams.push_back(std::move(ss));

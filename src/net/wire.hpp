@@ -222,8 +222,9 @@ class WireReader {
 /// Stats is the one response whose layout is versioned: the v1 body (25
 /// fixed fields) stays a byte-identical prefix; v2 appends the new global
 /// counters (retrains_capped, policy_cooldown_skips,
-/// unknown_stream_requests) and the per-stream breakdown. A v1 peer asking
-/// a v2 server simply receives the v1 body — aggregates only.
+/// unknown_stream_requests, the three *_failed ledgers) and the per-stream
+/// breakdown, each stream block ending with its own *_failed ledgers. A v1
+/// peer asking a v2 server simply receives the v1 body — aggregates only.
 [[nodiscard]] Bytes encode_stats_response(
     const service::ServiceStats& stats,
     std::uint16_t version = kProtocolVersion);

@@ -32,19 +32,21 @@ struct Ledger {
   std::uint64_t StreamStats::*requests;
   std::uint64_t StreamStats::*answered;
   std::uint64_t StreamStats::*shed;
+  std::uint64_t StreamStats::*failed;
 };
 
 template <typename Request>
 constexpr Ledger ledger_of() {
   if constexpr (std::is_same_v<Request, LabelRequest>) {
     return {&StreamStats::label_requests, &StreamStats::label_answered,
-            &StreamStats::label_shed};
+            &StreamStats::label_shed, &StreamStats::label_failed};
   } else if constexpr (std::is_same_v<Request, LookupRequest>) {
     return {&StreamStats::lookup_requests, &StreamStats::lookup_answered,
-            &StreamStats::lookup_shed};
+            &StreamStats::lookup_shed, &StreamStats::lookup_failed};
   } else {
     return {&StreamStats::recommend_requests,
-            &StreamStats::recommend_answered, &StreamStats::recommend_shed};
+            &StreamStats::recommend_answered, &StreamStats::recommend_shed,
+            &StreamStats::recommend_failed};
   }
 }
 
@@ -141,7 +143,7 @@ bool DataService::reserve_pending(Stream& stream) {
 
 template <typename Request, typename Response>
 void DataService::serve(Request request, Done<Response> done) {
-  constexpr Ledger ledger = ledger_of<Request>();
+  static constexpr Ledger ledger = ledger_of<Request>();
   constexpr bool is_label = std::is_same_v<Request, LabelRequest>;
   auto stream = registry_.find(request.stream);
   if (stream == nullptr) {
@@ -186,6 +188,10 @@ void DataService::serve(Request request, Done<Response> done) {
             stream->manager->recommend(req.architecture, response.pdf);
       }
     } catch (...) {
+      {
+        util::MutexLock lock(stream->stats_mutex);
+        ++(stream->counters.*ledger.failed);
+      }
       job->done({}, std::current_exception());
       return;
     }
@@ -396,6 +402,9 @@ ServiceStats DataService::stats() const {
     out.label_shed += s.label_shed;
     out.lookup_shed += s.lookup_shed;
     out.recommend_shed += s.recommend_shed;
+    out.label_failed += s.label_failed;
+    out.lookup_failed += s.lookup_failed;
+    out.recommend_failed += s.recommend_failed;
     out.samples_labeled += s.samples_labeled;
     out.labels_reused += s.labels_reused;
     out.labels_computed += s.labels_computed;

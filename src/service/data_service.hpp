@@ -124,7 +124,8 @@ class DataService {
   /// worker otherwise (after a label request's RetrainPolicy gate).
   /// `error` is set only when the request's own code (a LabelRequest's
   /// fallback_labeler) threw; `response` is then default-constructed and
-  /// the request is counted neither answered nor shed. Must not throw.
+  /// the request is counted in its op's `*_failed` ledger, neither
+  /// answered nor shed. Must not throw.
   template <typename Response>
   using Done =
       std::function<void(Response response, std::exception_ptr error)>;

@@ -150,6 +150,9 @@ struct StreamStats {
   std::uint64_t label_shed = 0;
   std::uint64_t lookup_shed = 0;
   std::uint64_t recommend_shed = 0;
+  std::uint64_t label_failed = 0;
+  std::uint64_t lookup_failed = 0;
+  std::uint64_t recommend_failed = 0;
   /// Requests admitted to this stream but not yet picked up by a worker
   /// (point-in-time gauge) and its high-water mark.
   std::uint64_t queue_depth = 0;
@@ -177,9 +180,13 @@ struct StreamStats {
 /// Aggregate serving counters (a snapshot copy; see DataService::stats).
 ///
 /// Admission accounting invariant (holds exactly once the service is idle;
-/// transiently `submitted >= answered + shed` while requests are in
-/// flight): for each op type, `*_requests == *_answered + *_shed`. The
-/// `*_requests` counters count every submit() call, accepted or not.
+/// transiently `requests >= answered + shed + failed` while requests are in
+/// flight): for each op type,
+/// `*_requests == *_answered + *_shed + *_failed`. The `*_requests`
+/// counters count every submit() call, accepted or not; `*_failed` counts
+/// admitted requests whose execution threw (a label request's own
+/// fallback_labeler), which reach `done` with the exception instead of a
+/// response.
 /// Every per-op / retrain / labeling counter equals the sum of the same
 /// counter across `streams`; `unknown_stream_requests` is global-only
 /// (a request that named no stream belongs to none of them).
@@ -194,6 +201,9 @@ struct ServiceStats {
   std::uint64_t label_shed = 0;
   std::uint64_t lookup_shed = 0;
   std::uint64_t recommend_shed = 0;
+  std::uint64_t label_failed = 0;
+  std::uint64_t lookup_failed = 0;
+  std::uint64_t recommend_failed = 0;
   // Pending-queue gauges: requests admitted but not yet picked up by a
   // worker. `queue_depth` is a point-in-time read; `max_queue_depth` is a
   // high-water mark sampled at each admission, so it never exceeds the

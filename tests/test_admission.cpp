@@ -2,8 +2,8 @@
 // semantics), the DataService load-shedding policy (a saturated
 // pending queue rejects with ServeStatus::kShedOverload, immediately and
 // without ever blocking the submitter), full drain after a burst, the
-// admission ledger (per-op submitted == answered + shed, queue gauges,
-// retrain coalescing counter), and the completion-callback contract of
+// admission ledger (per-op submitted == answered + shed + failed, queue
+// gauges, retrain coalescing counter), and the completion-callback contract of
 // submit(request, done) (exactly once, inline for rejections, no service
 // lock held, request errors delivered). Carries the `service` label, so
 // the TSan CI job and the Release `--repeat until-fail:3` stress step
@@ -551,17 +551,30 @@ TEST_F(AdmissionFixture, ThrowingFallbackLabelerComesOutOfGet) {
   EXPECT_EQ(probe.calls.load(), 1);
   EXPECT_TRUE(probe.errored.load());
 
-  // A failed request is counted neither answered nor shed, and the worker
-  // that ran it keeps serving.
+  // A failed request is counted failed, neither answered nor shed, so the
+  // ledger still balances once idle; the worker that ran it keeps serving.
   const auto stats = service.stats();
   EXPECT_EQ(stats.label_requests, 2u);
   EXPECT_EQ(stats.label_answered, 0u);
   EXPECT_EQ(stats.label_shed, 0u);
+  EXPECT_EQ(stats.label_failed, 2u);
+  EXPECT_EQ(stats.label_requests,
+            stats.label_answered + stats.label_shed + stats.label_failed);
   EXPECT_EQ(service.submit(service::LabelRequest{query_.xs, 1e9,
                                                  fast_labeler()})
                 .get()
                 .status,
             service::ServeStatus::kOk);
+  service.wait_idle();
+  const auto after = service.stats();
+  EXPECT_EQ(after.label_requests,
+            after.label_answered + after.label_shed + after.label_failed);
+  ASSERT_EQ(after.streams.size(), 1u);
+  const service::StreamStats& s = after.streams[0];
+  EXPECT_EQ(s.label_failed, 2u);
+  EXPECT_EQ(s.label_requests,
+            s.label_answered + s.label_shed + s.label_failed);
+  EXPECT_EQ(after.lookup_failed + after.recommend_failed, 0u);
 }
 
 }  // namespace

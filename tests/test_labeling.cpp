@@ -1,8 +1,10 @@
 // Tests for the conventional pseudo-Voigt labeler (MIDAS analog): parameter
-// recovery across a property sweep, parallel labeling consistency, and the
-// cluster cost-model arithmetic.
+// recovery across a property sweep, convergence on peaks at the edge of the
+// parameter box, accuracy over a drifted HEDM timeline, parallel labeling
+// consistency and its cost report, and the cluster cost-model arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -74,6 +76,75 @@ TEST(VoigtFit, FlatPatchDoesNotExplode) {
   EXPECT_LT(fit.residual, 1e-4);
 }
 
+// Pure-Gaussian and pure-Lorentzian peaks sit on the edge of the fit's box
+// (eta in [0, 1]). A noiseless one must be recovered to rounding: a fit
+// whose eta step leaves the box has to keep moving the other parameters
+// rather than stall with a dead eta column until max_iterations.
+TEST(VoigtFit, ConvergesOnBoxEdgePeaks) {
+  for (double eta : {0.0, 1.0}) {
+    for (double sigma : {1.4, 2.0, 2.8}) {
+      for (double offset : {-1.3, 0.4, 2.1}) {
+        datagen::PeakParams p;
+        p.center_x = 7.0 + offset;
+        p.center_y = 7.0 - offset * 0.6;
+        p.sigma_major = sigma;
+        p.sigma_minor = sigma;
+        p.eta = eta;
+        p.amplitude = 1.0;
+        p.background = 0.05;
+        std::vector<float> patch(15 * 15);
+        datagen::render_peak(p, 15, patch);
+        const auto fit = labeling::fit_peak(patch, 15);
+        SCOPED_TRACE(::testing::Message() << "eta " << eta << " sigma "
+                                          << sigma << " offset " << offset);
+        EXPECT_TRUE(fit.converged) << "iterations " << fit.iterations;
+        EXPECT_LT(std::hypot(fit.center_x - p.center_x,
+                             fit.center_y - p.center_y),
+                  1e-4);
+        EXPECT_GE(fit.eta, 0.0);
+        EXPECT_LE(fit.eta, 1.0);
+      }
+    }
+  }
+}
+
+// Center accuracy over the drifted, deformed patches the fallback labeler
+// meets in production: scans 1-15 of a 16-scan timeline with a deformation
+// at scan 8 (anisotropic, rotated, noisy peaks the isotropic model only
+// approximates), 40 patches per scan. The finite-difference fit with a
+// clamped model measured mean 0.064 px, max 0.82 px, 317 of 600 converged;
+// the analytic, box-projected fit measures mean 0.049 px, max 0.24 px,
+// 552 converged. The bounds sit between the two.
+TEST(VoigtFit, DriftedTimelineSweepAccuracy) {
+  datagen::HedmTimelineConfig config;
+  config.n_scans = 16;
+  config.drift_per_scan = 0.004;
+  config.deformation_scans = {8};
+  config.deformation_jump = 0.5;
+  const datagen::HedmTimeline timeline(config);
+  constexpr std::size_t kPerScan = 40;
+  constexpr double kMid = 7.0;
+  double sum = 0.0, worst = 0.0;
+  std::size_t n = 0, converged = 0;
+  for (std::size_t scan = 1; scan < config.n_scans; ++scan) {
+    const auto data = timeline.dataset_at(scan, kPerScan, 11);
+    for (std::size_t i = 0; i < kPerScan; ++i) {
+      const auto fit =
+          labeling::fit_peak({data.xs.data() + i * 225, 225}, 15);
+      const double err =
+          std::hypot(fit.center_x - kMid - data.ys.at(i, 0) * 15.0,
+                     fit.center_y - kMid - data.ys.at(i, 1) * 15.0);
+      sum += err;
+      worst = std::max(worst, err);
+      ++n;
+      converged += fit.converged ? 1 : 0;
+    }
+  }
+  EXPECT_LT(sum / static_cast<double>(n), 0.056);
+  EXPECT_LT(worst, 0.5);
+  EXPECT_GE(converged, 480u);
+}
+
 TEST(LabelPatches, MatchesGroundTruthOnCleanBatch) {
   util::Rng rng(7);
   datagen::BraggRegime regime;
@@ -89,6 +160,17 @@ TEST(LabelPatches, MatchesGroundTruthOnCleanBatch) {
     const double err = datagen::bragg_pixel_error(labels, data.ys, 15, i);
     EXPECT_LT(err, 0.5) << "sample " << i;
   }
+}
+
+// per_patch_seconds is the mean cost of one fit, not wall time scaled by
+// the pool size: a one-row call cannot cost more per patch than it took.
+TEST(LabelPatches, PerPatchSecondsOfOneRowIsWithinItsWallTime) {
+  util::Rng rng(8);
+  const auto data = datagen::make_bragg_batchset({}, {}, 1, rng);
+  double elapsed = 0.0, per_patch = 0.0;
+  (void)labeling::label_patches(data.xs, {}, &elapsed, &per_patch);
+  EXPECT_GT(per_patch, 0.0);
+  EXPECT_LE(per_patch, elapsed);
 }
 
 TEST(ClusterCostModel, PerfectScalingWithoutSerialFraction) {

@@ -183,7 +183,8 @@ TEST(WireCodec, StatsResponseRoundTripsEveryField) {
         &s.labels_reused, &s.labels_computed, &s.retrain_checks, &s.retrains,
         &s.retrains_coalesced, &s.store_shards, &s.model_cache_hits,
         &s.model_cache_misses, &s.model_cache_evictions,
-        &s.model_cache_bytes}) {
+        &s.model_cache_bytes, &s.label_failed, &s.lookup_failed,
+        &s.recommend_failed}) {
     *field = next++;
   }
   s.busy_seconds = rng.uniform(0.0, 100.0);
@@ -216,6 +217,9 @@ TEST(WireCodec, StatsResponseRoundTripsEveryField) {
   EXPECT_EQ(s.model_cache_misses, s2.model_cache_misses);
   EXPECT_EQ(s.model_cache_evictions, s2.model_cache_evictions);
   EXPECT_EQ(s.model_cache_bytes, s2.model_cache_bytes);
+  EXPECT_EQ(s.label_failed, s2.label_failed);
+  EXPECT_EQ(s.lookup_failed, s2.lookup_failed);
+  EXPECT_EQ(s.recommend_failed, s2.recommend_failed);
 }
 
 TEST(WireCodec, FrameHeaderRoundTripAndRejection) {
@@ -355,7 +359,8 @@ TEST(WireCodec, StatsV2CarriesPerStreamBlocksV1AggregatesOnly) {
           &ss.samples_labeled, &ss.labels_reused, &ss.labels_computed,
           &ss.retrain_checks, &ss.retrains, &ss.retrains_coalesced,
           &ss.retrains_capped, &ss.policy_cooldown_skips,
-          &ss.snapshot_version, &ss.store_shards}) {
+          &ss.snapshot_version, &ss.store_shards, &ss.label_failed,
+          &ss.lookup_failed, &ss.recommend_failed}) {
       *field = next++;
     }
     ss.busy_seconds = 1.5;
@@ -385,6 +390,9 @@ TEST(WireCodec, StatsV2CarriesPerStreamBlocksV1AggregatesOnly) {
     EXPECT_EQ(a.policy_cooldown_skips, b.policy_cooldown_skips);
     EXPECT_EQ(a.snapshot_version, b.snapshot_version);
     EXPECT_EQ(a.store_shards, b.store_shards);
+    EXPECT_EQ(a.label_failed, b.label_failed);
+    EXPECT_EQ(a.lookup_failed, b.lookup_failed);
+    EXPECT_EQ(a.recommend_failed, b.recommend_failed);
   }
 
   // A v1 peer gets the 25-field aggregate body: decodes cleanly, carries no
