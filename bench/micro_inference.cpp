@@ -1,14 +1,16 @@
 // Microbenchmark: BraggNN inference vs conventional pseudo-Voigt fitting,
 // per peak — the paper's §III-A claim that BraggNN localizes a center of
 // mass ~200x faster than pseudo-Voigt fitting. Also k-means assignment, the
-// GEMM kernel on a square product and on the shapes the layers run, and one
-// BraggNN training step (the unit of a model update).
+// GEMM kernel on a square product and on the shapes the layers run, one
+// BraggNN training step (the unit of a model update) and two of its parts:
+// the Adam step and the 8->16 convolution's forward + backward.
 #include <benchmark/benchmark.h>
 
 #include "cluster/kmeans.hpp"
 #include "datagen/bragg.hpp"
 #include "labeling/voigt_fit.hpp"
 #include "models/models.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
 #include "tensor/tensor.hpp"
@@ -126,6 +128,42 @@ void BM_BraggNNTrainStep(benchmark::State& state) {
                           static_cast<std::int64_t>(kBatch));
 }
 
+/// One Adam step over BraggNN's 126,290 parameters; items are parameters.
+void BM_AdamStep(benchmark::State& state) {
+  util::Rng rng(8);
+  auto model = models::make_braggnn(7);
+  for (tensor::Tensor* g : model.net.grads()) {
+    *g = tensor::Tensor::randn(g->shape(), rng, 1e-2f);
+  }
+  nn::Adam adam(model.net, 1e-3);
+  for (auto _ : state) {
+    adam.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              model.net.parameter_count()));
+}
+
+/// BraggNN's Conv2d(8, 16) on a 13x13 map, batch 32: a kTrain forward and
+/// the backward that reuses its columns.
+void BM_Conv2dTrainStep(benchmark::State& state) {
+  constexpr std::size_t kBatch = 32;
+  util::Rng rng(9);
+  nn::Conv2d conv(8, 16, 3, rng);
+  const auto x = tensor::Tensor::randn({kBatch, 8, 13, 13}, rng);
+  const auto g = tensor::Tensor::randn({kBatch, 16, 11, 11}, rng);
+  for (auto _ : state) {
+    conv.zero_grad();
+    benchmark::DoNotOptimize(conv.forward(x, nn::Mode::kTrain).data());
+    benchmark::DoNotOptimize(conv.backward(g).data());
+  }
+  // Forward, weight-gradient and input-gradient products.
+  report_gflops(state, 3 * 2.0 * kBatch * 16 * 11 * 11 * 72);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+
 }  // namespace
 
 BENCHMARK(BM_BraggNNInferencePerPeak)->Arg(64)->Arg(256);
@@ -141,5 +179,7 @@ BENCHMARK(BM_MatmulShapes)
     ->Args({16, 72, 121, 0, 0})    // BraggNN Conv2d(8, 16) forward per patch
     ->UseRealTime();
 BENCHMARK(BM_BraggNNTrainStep)->UseRealTime();
+BENCHMARK(BM_AdamStep);
+BENCHMARK(BM_Conv2dTrainStep)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -27,60 +27,88 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   weight_ = Tensor::rand_uniform(weight_.shape(), rng, -bound, bound);
 }
 
+namespace {
+
+/// The outputs [lo, hi) along one axis whose input position
+/// o * stride + k - pad falls inside [0, size); the rest read padding.
+struct ValidRange {
+  std::size_t lo, hi;
+};
+
+ValidRange valid_range(std::size_t out, std::size_t size, std::size_t k,
+                       std::size_t stride, std::size_t pad) {
+  const std::size_t hi =
+      size + pad <= k ? 0 : std::min(out, (size + pad - k - 1) / stride + 1);
+  const std::size_t lo = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+  return {std::min(lo, hi), hi};
+}
+
+}  // namespace
+
+// Column row (c, ky, kx) holds, at output (oy, ox), the pixel
+// (oy * stride + ky - pad, ox * stride + kx - pad) of channel c. Its valid
+// output rows and columns depend only on ky and kx, so each row is a zero
+// fill of the padding plus one copy (strided when stride > 1) per valid
+// output row.
 void Conv2d::im2col(const float* img, std::size_t h, std::size_t w,
                     float* cols) const {
   const std::size_t oh = out_size(h);
   const std::size_t ow = out_size(w);
-  const std::size_t plane = h * w;
-  std::size_t row = 0;
+  float* dst = cols;
   for (std::size_t c = 0; c < in_c_; ++c) {
+    const float* plane = img + c * h * w;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
-      for (std::size_t kx = 0; kx < kernel_; ++kx, ++row) {
-        float* dst = cols + row * (oh * ow);
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-              static_cast<std::ptrdiff_t>(padding_);
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                static_cast<std::ptrdiff_t>(padding_);
-            const bool inside = iy >= 0 && iy < static_cast<std::ptrdiff_t>(h) &&
-                                ix >= 0 && ix < static_cast<std::ptrdiff_t>(w);
-            dst[oy * ow + ox] =
-                inside ? img[c * plane +
-                             static_cast<std::size_t>(iy) * w +
-                             static_cast<std::size_t>(ix)]
-                       : 0.0f;
+      const ValidRange ys = valid_range(oh, h, ky, stride_, padding_);
+      for (std::size_t kx = 0; kx < kernel_; ++kx, dst += oh * ow) {
+        const ValidRange xs = valid_range(ow, w, kx, stride_, padding_);
+        const std::size_t len = xs.hi - xs.lo;
+        std::fill(dst, dst + ys.lo * ow, 0.0f);
+        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+          float* out = dst + oy * ow;
+          std::fill(out, out + xs.lo, 0.0f);
+          if (len > 0) {
+            const float* in = plane + (oy * stride_ + ky - padding_) * w +
+                              xs.lo * stride_ + kx - padding_;
+            if (stride_ == 1) {
+              std::copy_n(in, len, out + xs.lo);
+            } else {
+              for (std::size_t j = 0; j < len; ++j) {
+                out[xs.lo + j] = in[j * stride_];
+              }
+            }
           }
+          std::fill(out + xs.hi, out + ow, 0.0f);
         }
+        std::fill(dst + ys.hi * ow, dst + oh * ow, 0.0f);
       }
     }
   }
 }
 
+// Adds in im2col's order (column row, then output row, then output column),
+// skipping the padding, so every image element sums its terms in the same
+// order as a per-element bounds-tested loop would.
 void Conv2d::col2im(const float* cols, std::size_t h, std::size_t w,
                     float* img) const {
   const std::size_t oh = out_size(h);
   const std::size_t ow = out_size(w);
-  const std::size_t plane = h * w;
-  std::size_t row = 0;
+  const float* src = cols;
   for (std::size_t c = 0; c < in_c_; ++c) {
+    float* plane = img + c * h * w;
     for (std::size_t ky = 0; ky < kernel_; ++ky) {
-      for (std::size_t kx = 0; kx < kernel_; ++kx, ++row) {
-        const float* src = cols + row * (oh * ow);
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-              static_cast<std::ptrdiff_t>(padding_);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                static_cast<std::ptrdiff_t>(padding_);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-            img[c * plane + static_cast<std::size_t>(iy) * w +
-                static_cast<std::size_t>(ix)] += src[oy * ow + ox];
+      const ValidRange ys = valid_range(oh, h, ky, stride_, padding_);
+      for (std::size_t kx = 0; kx < kernel_; ++kx, src += oh * ow) {
+        const ValidRange xs = valid_range(ow, w, kx, stride_, padding_);
+        const std::size_t len = xs.hi - xs.lo;
+        if (len == 0) continue;
+        for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+          const float* in = src + oy * ow + xs.lo;
+          float* out = plane + (oy * stride_ + ky - padding_) * w +
+                       xs.lo * stride_ + kx - padding_;
+          if (stride_ == 1) {
+            for (std::size_t j = 0; j < len; ++j) out[j] += in[j];
+          } else {
+            for (std::size_t j = 0; j < len; ++j) out[j * stride_] += in[j];
           }
         }
       }
@@ -98,30 +126,38 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
   const std::size_t ow = out_size(w);
   FAIRDMS_CHECK(oh > 0 && ow > 0, "Conv2d: output collapsed to zero for ",
                 x.shape_str());
-  if (mode == Mode::kTrain) cached_input_ = x;
 
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
   const std::size_t col_cols = oh * ow;
+  const std::size_t col_size = col_rows * col_cols;
+  const bool train = mode == Mode::kTrain;
+  if (train) {
+    train_n_ = n;
+    train_h_ = h;
+    train_w_ = w;
+    train_cols_.resize(n * col_size);
+  }
   Tensor y({n, out_c_, oh, ow});
   const float* px = x.data();
   float* py = y.data();
   const float* pb = bias_.data();
 
   auto samples = [&](std::size_t begin, std::size_t end) {
-    std::vector<float> cols(col_rows * col_cols);
+    std::vector<float> scratch(train ? 0 : col_size);
     for (std::size_t i = begin; i < end; ++i) {
-      im2col(px + i * in_c_ * h * w, h, w, cols.data());
+      float* cols = train ? train_cols_.data() + i * col_size : scratch.data();
+      im2col(px + i * in_c_ * h * w, h, w, cols);
       // out[oc, :] = b[oc] + W[oc, :] . cols
       float* out = py + i * out_c_ * col_cols;
       for (std::size_t oc = 0; oc < out_c_; ++oc) {
         std::fill_n(out + oc * col_cols, col_cols, pb[oc]);
       }
       tensor::gemm(out_c_, col_cols, col_rows, weight_.data(),
-                   /*trans_a=*/false, cols.data(), /*trans_b=*/false, out,
+                   /*trans_a=*/false, cols, /*trans_b=*/false, out,
                    /*accumulate=*/true);
     }
   };
-  if (tensor::may_fan_out(2 * n * out_c_ * col_rows * col_cols)) {
+  if (tensor::may_fan_out(2 * n * out_c_ * col_size)) {
     util::ThreadPool::global().parallel_for(n, samples, /*min_grain=*/1);
   } else {
     samples(0, n);
@@ -130,11 +166,10 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  FAIRDMS_CHECK(!cached_input_.empty(), "Conv2d::backward before forward");
-  const Tensor& x = cached_input_;
-  const std::size_t n = x.dim(0);
-  const std::size_t h = x.dim(2);
-  const std::size_t w = x.dim(3);
+  FAIRDMS_CHECK(!train_cols_.empty(), "Conv2d::backward before forward");
+  const std::size_t n = train_n_;
+  const std::size_t h = train_h_;
+  const std::size_t w = train_w_;
   const std::size_t oh = out_size(h);
   const std::size_t ow = out_size(w);
   FAIRDMS_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
@@ -144,8 +179,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   const std::size_t col_rows = in_c_ * kernel_ * kernel_;
   const std::size_t col_cols = oh * ow;
-  Tensor grad_x(x.shape());
-  const float* px = x.data();
+  const std::size_t col_size = col_rows * col_cols;
+  Tensor grad_x({n, in_c_, h, w});
+  const float* pcols = train_cols_.data();
   const float* pg = grad_out.data();
   float* pgx = grad_x.data();
 
@@ -158,18 +194,17 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   std::vector<float> partials(chunks * (wsize + out_c_), 0.0f);
 
   auto run = [&](std::size_t chunk_begin, std::size_t chunk_end) {
-    std::vector<float> cols(col_rows * col_cols);
-    std::vector<float> gcols(col_rows * col_cols);
+    std::vector<float> gcols(col_size);
     for (std::size_t ch = chunk_begin; ch < chunk_end; ++ch) {
       float* gw = partials.data() + ch * (wsize + out_c_);
       float* gb = gw + wsize;
       const std::size_t end = std::min(n, (ch + 1) * kSamplesPerChunk);
       for (std::size_t i = ch * kSamplesPerChunk; i < end; ++i) {
-        im2col(px + i * in_c_ * h * w, h, w, cols.data());
+        const float* cols = pcols + i * col_size;
         const float* gout = pg + i * out_c_ * col_cols;
         // dW += gout . cols^T ; db += row-sum(gout) ; gcols = W^T . gout
         tensor::gemm(out_c_, col_rows, col_cols, gout, /*trans_a=*/false,
-                     cols.data(), /*trans_b=*/true, gw, /*accumulate=*/true);
+                     cols, /*trans_b=*/true, gw, /*accumulate=*/true);
         for (std::size_t oc = 0; oc < out_c_; ++oc) {
           const float* grow = gout + oc * col_cols;
           double bsum = 0.0;
@@ -183,7 +218,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       }
     }
   };
-  if (tensor::may_fan_out(4 * n * out_c_ * col_rows * col_cols)) {
+  if (tensor::may_fan_out(4 * n * out_c_ * col_size)) {
     util::ThreadPool::global().parallel_for(chunks, run, /*min_grain=*/1);
   } else {
     run(0, chunks);

@@ -1,11 +1,21 @@
 // 2-D convolution via im2col + GEMM. Input layout [N, C, H, W].
 #pragma once
 
+#include <vector>
+
 #include "nn/layer.hpp"
 #include "util/rng.hpp"
 
 namespace fairdms::nn {
 
+/// Memory trade: a kTrain forward keeps each sample's im2col columns for
+/// backward, which reads them instead of rebuilding them. That is
+/// C·K²·OH·OW cached floats per train sample, roughly K²/stride² times the
+/// input it replaces (BraggNN's 8→16 layer: 8,712 floats, 34 KB, per sample, 6.4x
+/// its input; 1.1 MB for a batch of 32). The buffer is kept across steps and
+/// grows only when a batch needs more than any earlier one. kEval and
+/// kMcSample forwards build their columns in local scratch and leave the
+/// cache, and so the next backward, untouched.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels,
@@ -24,7 +34,7 @@ class Conv2d final : public Layer {
   }
 
  private:
-  /// Expands x[n] into a [C*K*K, OH*OW] column matrix.
+  /// Expands one [C, H, W] image into a [C*K*K, OH*OW] column matrix.
   void im2col(const float* img, std::size_t h, std::size_t w,
               float* cols) const;
   /// Scatter-adds a column matrix back into an image (transpose of im2col).
@@ -36,7 +46,9 @@ class Conv2d final : public Layer {
   Tensor bias_;         // [OC]
   Tensor grad_weight_;
   Tensor grad_bias_;
-  Tensor cached_input_;  // [N, C, H, W]
+  // Shape and per-sample columns of the last kTrain forward.
+  std::size_t train_n_ = 0, train_h_ = 0, train_w_ = 0;
+  std::vector<float> train_cols_;  // [N, C*K*K, OH*OW]
 };
 
 }  // namespace fairdms::nn

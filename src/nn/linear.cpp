@@ -38,8 +38,11 @@ Tensor Linear::forward(const Tensor& x, Mode mode) {
 
 Tensor Linear::backward(const Tensor& grad_out) {
   FAIRDMS_CHECK(!cached_input_.empty(), "Linear::backward before forward");
-  FAIRDMS_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
-                "Linear: bad grad shape ", grad_out.shape_str());
+  FAIRDMS_CHECK(grad_out.rank() == 2 &&
+                    grad_out.dim(0) == cached_input_.dim(0) &&
+                    grad_out.dim(1) == out_,
+                "Linear: bad grad shape ", grad_out.shape_str(),
+                " for input ", cached_input_.shape_str());
   // dW += dY^T X ; db += column-sum(dY) ; dX = dY W
   const std::size_t n = grad_out.dim(0);
   const float* pg = grad_out.data();

@@ -47,6 +47,8 @@ Adam::Adam(Layer& model, double lr, double beta1, double beta2, double eps,
   }
 }
 
+// Runs in float with every per-step constant hoisted. The library builds
+// with -fno-math-errno, so the sqrt does not pin the loop to scalar code.
 void Adam::step() {
   auto params = model_->params();
   auto grads = model_->grads();
@@ -55,20 +57,25 @@ void Adam::step() {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const double step_size = lr_ / bc1;
+  const auto b1 = static_cast<float>(beta1_);
+  const auto b2 = static_cast<float>(beta2_);
+  const auto one_minus_b1 = static_cast<float>(1.0 - beta1_);
+  const auto one_minus_b2 = static_cast<float>(1.0 - beta2_);
+  const auto step_size = static_cast<float>(lr_ / bc1);
+  const auto inv_bc2 = static_cast<float>(1.0 / bc2);
+  const auto eps = static_cast<float>(eps_);
+  const auto wd = static_cast<float>(weight_decay_);
   for (std::size_t i = 0; i < params.size(); ++i) {
     float* p = params[i]->data();
     const float* g = grads[i]->data();
     float* m = m_[i].data();
     float* v = v_[i].data();
-    for (std::size_t j = 0; j < params[i]->numel(); ++j) {
-      const double grad = static_cast<double>(g[j]) +
-                          weight_decay_ * static_cast<double>(p[j]);
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * grad);
-      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * grad * grad);
-      const double vhat = static_cast<double>(v[j]) / bc2;
-      p[j] -= static_cast<float>(step_size * static_cast<double>(m[j]) /
-                                 (std::sqrt(vhat) + eps_));
+    const std::size_t count = params[i]->numel();
+    for (std::size_t j = 0; j < count; ++j) {
+      const float grad = g[j] + wd * p[j];
+      m[j] = b1 * m[j] + one_minus_b1 * grad;
+      v[j] = b2 * v[j] + one_minus_b2 * grad * grad;
+      p[j] -= step_size * m[j] / (std::sqrt(v[j] * inv_bc2) + eps);
     }
   }
 }

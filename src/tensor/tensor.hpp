@@ -57,7 +57,8 @@ class Tensor {
   [[nodiscard]] bool empty() const { return data_.empty(); }
   [[nodiscard]] std::string shape_str() const;
 
-  /// Same storage, new shape; total element count must match.
+  /// A copy of the data under a new shape (storage is never shared between
+  /// tensors); the total element count must match.
   [[nodiscard]] Tensor reshaped(std::vector<std::size_t> new_shape) const;
 
   // --- element access ------------------------------------------------------

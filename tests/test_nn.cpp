@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,71 +115,146 @@ bool same_bits(const Tensor& a, const Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
-// Conv2d's weight/bias gradients sum per-chunk partials in a fixed order,
-// so repeated backward passes give the same bits however the pool schedules
-// the chunks, and they agree with a direct (loop-nest) convolution.
-TEST(Conv2d, BackwardIsReproducibleAndMatchesDirectConvolution) {
-  constexpr std::size_t kN = 32, kC = 8, kOc = 16, kK = 3, kH = 13;
-  constexpr std::size_t kOh = kH - kK + 1;
-  util::Rng rng(31);
-  nn::Conv2d layer(kC, kOc, kK, rng);
-  const Tensor x = Tensor::randn({kN, kC, kH, kH}, rng);
-  const Tensor g = Tensor::randn({kN, kOc, kOh, kOh}, rng);
+struct ConvCase {
+  std::size_t n, c, oc, k, stride, pad, h, w;
+};
 
-  layer.zero_grad();
-  const Tensor y = layer.forward(x, Mode::kTrain);
-  const Tensor gx = layer.backward(g);
-  const Tensor gw = *layer.grads()[0];
-  const Tensor gb = *layer.grads()[1];
-  for (int rep = 0; rep < 50; ++rep) {
-    layer.zero_grad();
-    ASSERT_TRUE(same_bits(layer.forward(x, Mode::kTrain), y)) << rep;
-    ASSERT_TRUE(same_bits(layer.backward(g), gx)) << rep;
-    ASSERT_TRUE(same_bits(*layer.grads()[0], gw)) << rep;
-    ASSERT_TRUE(same_bits(*layer.grads()[1], gb)) << rep;
-  }
+std::string case_str(const ConvCase& cc) {
+  return "n=" + std::to_string(cc.n) + " c=" + std::to_string(cc.c) +
+         " oc=" + std::to_string(cc.oc) + " k=" + std::to_string(cc.k) +
+         " stride=" + std::to_string(cc.stride) +
+         " pad=" + std::to_string(cc.pad) + " " + std::to_string(cc.h) +
+         "x" + std::to_string(cc.w);
+}
 
-  // Direct convolution and its gradients, accumulated in double.
-  const Tensor& w = *layer.params()[0];  // [OC, C*K*K]
-  const Tensor& b = *layer.params()[1];
-  std::vector<double> ref_y(y.numel()), ref_gx(x.numel()), ref_gw(gw.numel()),
-      ref_gb(gb.numel());
-  for (std::size_t n = 0; n < kN; ++n) {
-    for (std::size_t o = 0; o < kOc; ++o) {
-      for (std::size_t oy = 0; oy < kOh; ++oy) {
-        for (std::size_t ox = 0; ox < kOh; ++ox) {
-          const std::size_t yi = ((n * kOc + o) * kOh + oy) * kOh + ox;
+/// Direct (loop-nest) convolution and its gradients for output gradient
+/// `g`, accumulated in double.
+struct DirectConv {
+  std::vector<double> y, gx, gw, gb;
+};
+
+DirectConv direct_conv(const ConvCase& cc, const Tensor& x, const Tensor& w,
+                       const Tensor& b, const Tensor& g) {
+  const std::size_t oh = (cc.h + 2 * cc.pad - cc.k) / cc.stride + 1;
+  const std::size_t ow = (cc.w + 2 * cc.pad - cc.k) / cc.stride + 1;
+  DirectConv ref{std::vector<double>(g.numel()),
+                 std::vector<double>(x.numel()),
+                 std::vector<double>(w.numel()),
+                 std::vector<double>(b.numel())};
+  for (std::size_t n = 0; n < cc.n; ++n) {
+    for (std::size_t o = 0; o < cc.oc; ++o) {
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          const std::size_t yi = ((n * cc.oc + o) * oh + oy) * ow + ox;
           const double go = g[yi];
           double acc = b[o];
-          ref_gb[o] += go;
-          for (std::size_t c = 0; c < kC; ++c) {
-            for (std::size_t ky = 0; ky < kK; ++ky) {
-              for (std::size_t kx = 0; kx < kK; ++kx) {
-                const std::size_t wi = (o * kC + c) * kK * kK + ky * kK + kx;
+          ref.gb[o] += go;
+          for (std::size_t c = 0; c < cc.c; ++c) {
+            for (std::size_t ky = 0; ky < cc.k; ++ky) {
+              const auto iy = static_cast<std::ptrdiff_t>(oy * cc.stride + ky) -
+                              static_cast<std::ptrdiff_t>(cc.pad);
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(cc.h)) continue;
+              for (std::size_t kx = 0; kx < cc.k; ++kx) {
+                const auto ix =
+                    static_cast<std::ptrdiff_t>(ox * cc.stride + kx) -
+                    static_cast<std::ptrdiff_t>(cc.pad);
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(cc.w)) continue;
+                const std::size_t wi = (o * cc.c + c) * cc.k * cc.k +
+                                       ky * cc.k + kx;
                 const std::size_t xi =
-                    ((n * kC + c) * kH + oy + ky) * kH + ox + kx;
+                    ((n * cc.c + c) * cc.h + static_cast<std::size_t>(iy)) *
+                        cc.w +
+                    static_cast<std::size_t>(ix);
                 acc += static_cast<double>(w[wi]) * x[xi];
-                ref_gw[wi] += go * x[xi];
-                ref_gx[xi] += go * w[wi];
+                ref.gw[wi] += go * x[xi];
+                ref.gx[xi] += go * w[wi];
               }
             }
           }
-          ref_y[yi] = acc;
+          ref.y[yi] = acc;
         }
       }
     }
   }
-  auto expect_close = [](const Tensor& got, const std::vector<double>& want,
-                         const char* what) {
-    for (std::size_t i = 0; i < got.numel(); ++i) {
-      ASSERT_NEAR(got[i], want[i], 1e-4 * std::max(1.0, std::fabs(want[i])))
-          << what << " at " << i;
-    }
+  return ref;
+}
+
+// Conv2d's weight/bias gradients sum per-chunk partials in a fixed order,
+// so repeated backward passes give the same bits however the pool schedules
+// the chunks, and they agree with a direct (loop-nest) convolution. The
+// cases cover the edges of im2col's valid ranges: stride 2 and 3, padding
+// 1 and 2 (wider than the kernel's reach on a 1x1 image), kernels 1 to 5,
+// H != W, and batches that do not fill the last gradient chunk.
+TEST(Conv2d, BackwardIsReproducibleAndMatchesDirectConvolution) {
+  const ConvCase cases[] = {
+      {32, 8, 16, 3, 1, 0, 13, 13},  // BraggNN's second layer
+      {5, 3, 4, 3, 2, 1, 9, 7},      {4, 2, 3, 5, 1, 2, 6, 11},
+      {3, 2, 3, 1, 1, 0, 5, 4},      {6, 2, 5, 5, 2, 2, 7, 10},
+      {3, 1, 2, 3, 2, 0, 8, 9},      {2, 2, 2, 3, 3, 2, 4, 5},
+      {2, 1, 1, 5, 1, 2, 1, 1},      {3, 3, 2, 4, 2, 1, 7, 6},
   };
-  expect_close(y, ref_y, "output");
-  expect_close(gx, ref_gx, "input grad");
-  expect_close(gw, ref_gw, "weight grad");
-  expect_close(gb, ref_gb, "bias grad");
+  for (const ConvCase& cc : cases) {
+    SCOPED_TRACE(case_str(cc));
+    util::Rng rng(31 + cc.k + cc.pad);
+    nn::Conv2d layer(cc.c, cc.oc, cc.k, rng, cc.stride, cc.pad);
+    const Tensor x = Tensor::randn({cc.n, cc.c, cc.h, cc.w}, rng);
+    const Tensor g = Tensor::randn(
+        {cc.n, cc.oc, layer.out_size(cc.h), layer.out_size(cc.w)}, rng);
+
+    layer.zero_grad();
+    const Tensor y = layer.forward(x, Mode::kTrain);
+    const Tensor gx = layer.backward(g);
+    const Tensor gw = *layer.grads()[0];
+    const Tensor gb = *layer.grads()[1];
+    for (int rep = 0; rep < 50; ++rep) {
+      layer.zero_grad();
+      ASSERT_TRUE(same_bits(layer.forward(x, Mode::kTrain), y)) << rep;
+      ASSERT_TRUE(same_bits(layer.backward(g), gx)) << rep;
+      ASSERT_TRUE(same_bits(*layer.grads()[0], gw)) << rep;
+      ASSERT_TRUE(same_bits(*layer.grads()[1], gb)) << rep;
+    }
+
+    const DirectConv ref =
+        direct_conv(cc, x, *layer.params()[0], *layer.params()[1], g);
+    auto expect_close = [](const Tensor& got, const std::vector<double>& want,
+                           const char* what) {
+      ASSERT_EQ(got.numel(), want.size()) << what;
+      for (std::size_t i = 0; i < got.numel(); ++i) {
+        ASSERT_NEAR(got[i], want[i], 1e-4 * std::max(1.0, std::fabs(want[i])))
+            << what << " at " << i;
+      }
+    };
+    expect_close(y, ref.y, "output");
+    expect_close(gx, ref.gx, "input grad");
+    expect_close(gw, ref.gw, "weight grad");
+    expect_close(gb, ref.gb, "bias grad");
+  }
+}
+
+// A kTrain forward keeps its columns for backward; inference forwards on
+// other batch sizes in between (a validation pass, MC-dropout samples) must
+// not touch them, so the gradients keep their bits.
+TEST(Conv2d, InferenceForwardBetweenTrainForwardAndBackwardKeepsGradients) {
+  util::Rng rng(32);
+  nn::Conv2d layer(3, 5, 3, rng, /*stride=*/1, /*padding=*/1);
+  const Tensor x = Tensor::randn({8, 3, 9, 7}, rng);
+  const Tensor other = Tensor::randn({3, 3, 11, 6}, rng);
+  const Tensor g = Tensor::randn({8, 5, 9, 7}, rng);
+
+  layer.zero_grad();
+  layer.forward(x, Mode::kTrain);
+  const Tensor gx = layer.backward(g);
+  const Tensor gw = *layer.grads()[0];
+  const Tensor gb = *layer.grads()[1];
+
+  for (const Mode mode : {Mode::kEval, Mode::kMcSample}) {
+    layer.zero_grad();
+    layer.forward(x, Mode::kTrain);
+    layer.forward(other, mode);
+    EXPECT_TRUE(same_bits(layer.backward(g), gx));
+    EXPECT_TRUE(same_bits(*layer.grads()[0], gw));
+    EXPECT_TRUE(same_bits(*layer.grads()[1], gb));
+  }
 }
 
 TEST(GradCheck, Activations) {
@@ -200,6 +276,41 @@ TEST(GradCheck, Activations) {
     nn::Tanh layer;
     check_gradients(layer, x);
   }
+}
+
+// The backward passes are selects; they must give the bits of the branch
+// form (zero, or scale, the gradient where the input is <= 0) on every
+// input, including signed zeros, NaNs, subnormals and infinities.
+TEST(Activations, ReluBackwardsMatchTheBranchFormBitwise) {
+  util::Rng rng(41);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> special{0.0f,  -0.0f, nan,      -nan,     sub,
+                                   -sub,  1e-40f, -1e-40f, inf,      -inf,
+                                   1.0f, -1.0f,  3.5f,    -2.25f,   1e30f};
+  Tensor x = Tensor::randn({5, 61}, rng);  // mixed signs after the specials
+  Tensor g = Tensor::randn({5, 61}, rng);
+  // Every (input, gradient) pair of specials, then random values.
+  for (std::size_t i = 0; i < special.size(); ++i) {
+    for (std::size_t j = 0; j < special.size(); ++j) {
+      x[i * special.size() + j] = special[i];
+      g[i * special.size() + j] = special[j];
+    }
+  }
+  Tensor want_relu = g;
+  Tensor want_leaky = g;
+  constexpr float kSlope = 0.1f;
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    if (x[i] <= 0.0f) want_relu[i] = 0.0f;
+    if (x[i] <= 0.0f) want_leaky[i] *= kSlope;
+  }
+  nn::ReLU relu;
+  relu.forward(x, Mode::kTrain);
+  EXPECT_TRUE(same_bits(relu.backward(g), want_relu));
+  nn::LeakyReLU leaky(kSlope);
+  leaky.forward(x, Mode::kTrain);
+  EXPECT_TRUE(same_bits(leaky.backward(g), want_leaky));
 }
 
 TEST(GradCheck, Pools) {
@@ -357,6 +468,62 @@ TEST(Optim, WeightDecayShrinksWeights) {
   EXPECT_LT(net.params()[0]->norm(), before);
 }
 
+/// A parameter-only layer for driving an optimizer with chosen gradients.
+class ParamsOnly final : public nn::Layer {
+ public:
+  explicit ParamsOnly(const Tensor& init) : param_(init), grad_(init.shape()) {}
+  Tensor forward(const Tensor& x, Mode /*mode*/) override { return x; }
+  Tensor backward(const Tensor& g) override { return g; }
+  std::vector<Tensor*> params() override { return {&param_}; }
+  std::vector<Tensor*> grads() override { return {&grad_}; }
+  [[nodiscard]] std::string name() const override { return "ParamsOnly"; }
+
+ private:
+  Tensor param_;
+  Tensor grad_;
+};
+
+// Adam steps in float. Fed the same gradient sequence, it must track the
+// textbook update carried out in double: after 200 steps every parameter
+// is within 1e-4 relative (or 1e-5 absolute, near zero) of the reference.
+TEST(AdamFloat, TracksADoubleReferenceOver200Steps) {
+  constexpr double kLr = 1e-2, kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
+  for (const double wd : {0.0, 0.05}) {
+    SCOPED_TRACE("weight_decay=" + std::to_string(wd));
+    util::Rng rng(42);
+    const Tensor init = Tensor::randn({1000}, rng);
+    ParamsOnly layer(init);
+    nn::Adam adam(layer, kLr, kBeta1, kBeta2, kEps, wd);
+    std::vector<double> p(init.flat().begin(), init.flat().end());
+    std::vector<double> m(p.size(), 0.0), v(p.size(), 0.0);
+    Tensor& grad = *layer.grads()[0];
+    for (int t = 1; t <= 200; ++t) {
+      // Gradients with a per-parameter scale spread over four decades.
+      for (std::size_t j = 0; j < grad.numel(); ++j) {
+        const double scale =
+            std::pow(10.0, -2.0 + 4.0 * static_cast<double>(j) /
+                                   static_cast<double>(grad.numel()));
+        grad[j] = static_cast<float>(scale * rng.gaussian());
+      }
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        const double gj = static_cast<double>(grad[j]) + wd * p[j];
+        m[j] = kBeta1 * m[j] + (1.0 - kBeta1) * gj;
+        v[j] = kBeta2 * v[j] + (1.0 - kBeta2) * gj * gj;
+        const double mhat = m[j] / (1.0 - std::pow(kBeta1, t));
+        const double vhat = v[j] / (1.0 - std::pow(kBeta2, t));
+        p[j] -= kLr * mhat / (std::sqrt(vhat) + kEps);
+      }
+      adam.step();
+    }
+    const Tensor& got = *layer.params()[0];
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      ASSERT_LE(std::fabs(got[j] - p[j]),
+                std::max(1e-4 * std::fabs(p[j]), 1e-5))
+          << "param " << j << ": float " << got[j] << " vs double " << p[j];
+    }
+  }
+}
+
 TEST(Serialize, RoundTripRestoresExactParameters) {
   util::Rng rng(13);
   nn::Sequential a;
@@ -385,6 +552,34 @@ TEST(SerializeDeathTest, CorruptBlobAborts) {
   auto blob = nn::save_parameters(net);
   blob[blob.size() / 2] ^= 0xFF;
   EXPECT_DEATH(nn::load_parameters(net, blob), "checksum");
+}
+
+// backward() reads the forward's cache at the gradient's indices, so a
+// gradient shaped unlike the forward's output is a caller bug that must
+// stop the process, not read past the cache.
+TEST(BackwardDeathTest, LinearRejectsAGradientForAnotherBatch) {
+  util::Rng rng(24);
+  nn::Linear layer(3, 2, rng);
+  layer.forward(Tensor::randn({2, 3}, rng), Mode::kTrain);
+  EXPECT_DEATH(layer.backward(Tensor::randn({64, 2}, rng)), "bad grad shape");
+}
+
+TEST(BackwardDeathTest, PointwiseLayersRejectAGradientOfAnotherShape) {
+  util::Rng rng(25);
+  const Tensor x = Tensor::randn({2, 3}, rng);
+  const Tensor big = Tensor::randn({64, 3}, rng);
+  nn::ReLU relu;
+  relu.forward(x, Mode::kTrain);
+  EXPECT_DEATH(relu.backward(big), "does not match the forward");
+  nn::LeakyReLU leaky;
+  leaky.forward(x, Mode::kTrain);
+  EXPECT_DEATH(leaky.backward(big), "does not match the forward");
+  nn::Sigmoid sigmoid;
+  sigmoid.forward(x, Mode::kTrain);
+  EXPECT_DEATH(sigmoid.backward(big), "does not match the forward");
+  nn::Tanh tanh_layer;
+  tanh_layer.forward(x, Mode::kTrain);
+  EXPECT_DEATH(tanh_layer.backward(big), "does not match the forward");
 }
 
 TEST(Serialize, FileRoundTrip) {
